@@ -280,190 +280,93 @@ def bench_open_saturation_point(transactions: int, repeats: int) -> dict:
             "shed_ratio": result.shed_ratio}
 
 
-def bench_fault_overhead(transactions: int, repeats: int) -> dict:
-    """Cost of the fault-injection plane when nothing is injected.
+def _inactive_plane(transactions: int, repeats: int, plain: dict,
+                    inactive: dict, what: str) -> dict:
+    """Wall-clock cost of one plane when it is present but inactive.
 
-    Runs the identical seeded workload with ``faults=None`` and with an
-    inactive :class:`FaultConfig`; the inactive config must leave the
-    simulation byte-identical (asserted) and essentially free (the
-    smoke gate pins the wall-clock ratio).
+    Runs the identical seeded 2PC workload with the ``plain`` and the
+    ``inactive`` simulate arguments.  The two must be byte-identical
+    (asserted); the smoke gate pins the wall-clock ratio.
+
+    The ratio is the MEDIAN of adjacent plain/inactive pairs: the two
+    halves of a pair sit next to each other in time, so a throttling
+    episode or load spike slows both and cancels in the ratio, and the
+    median discards the pairs where it did not.  (Ratio-of-minima is not
+    enough here -- a slow episode spanning one variant's whole schedule
+    skews both minima.)
     """
+    import dataclasses
+    import statistics
+
     import repro
-    from repro.faults import FaultConfig
 
-    def run(faults):
-        result = repro.simulate("2PC", measured_transactions=transactions,
-                                mpl=2, warmup_transactions=0, seed=1,
-                                faults=faults)
-        return result.throughput
+    def run(kwargs):
+        return repro.simulate("2PC", measured_transactions=transactions,
+                              mpl=2, warmup_transactions=0, seed=1,
+                              **kwargs)
 
-    # Time adjacent plain/inactive pairs (after a warmup) and report the
-    # MEDIAN of the per-pair ratios: the two halves of a pair sit next
-    # to each other in time, so a throttling episode or load spike slows
-    # both and cancels in the ratio, and the median discards the pairs
-    # where it did not.  (Ratio-of-minima is not enough here — a slow
-    # episode spanning one variant's whole schedule skews both minima.)
-    assert run(None) == run(FaultConfig()), \
-        "inactive FaultConfig perturbed the trajectory"
+    assert (json.dumps(dataclasses.asdict(run(plain)))
+            == json.dumps(dataclasses.asdict(run(inactive)))), \
+        f"{what} perturbed the trajectory"
     plain_wall = inactive_wall = float("inf")
     ratios = []
     for _ in range(max(repeats, 5)):
         start = time.perf_counter()
-        run(None)
-        plain = time.perf_counter() - start
+        run(plain)
+        plain_s = time.perf_counter() - start
         start = time.perf_counter()
-        run(FaultConfig())
-        inactive = time.perf_counter() - start
-        plain_wall = min(plain_wall, plain)
-        inactive_wall = min(inactive_wall, inactive)
-        ratios.append(inactive / plain)
-    ratios.sort()
-    median = ratios[len(ratios) // 2] if len(ratios) % 2 else \
-        (ratios[len(ratios) // 2 - 1] + ratios[len(ratios) // 2]) / 2
+        run(inactive)
+        inactive_s = time.perf_counter() - start
+        plain_wall = min(plain_wall, plain_s)
+        inactive_wall = min(inactive_wall, inactive_s)
+        ratios.append(inactive_s / plain_s)
     return {"wall_s": inactive_wall, "plain_wall_s": plain_wall,
             "txns": transactions,
-            "overhead_ratio": median}
+            "overhead_ratio": statistics.median(ratios)}
 
 
-def bench_cost_model_overhead(transactions: int, repeats: int) -> dict:
-    """Cost of the pluggable network cost model when the wire is free.
+def bench_inactive_planes(transactions: int, repeats: int) -> dict:
+    """One ``_inactive_plane`` row per plane that must cost nothing when
+    inactive (see the ``SMOKE_CEIL_*_OVERHEAD`` notes above):
 
-    Runs the identical seeded workload with no topology (the historical
-    zero-consult hot path) and with the ``uniform`` topology (every
-    remote send consults the LanSwitch).  The two must be byte-identical
-    (asserted); the smoke gate pins the wall-clock ratio of the
-    indirection itself.  Same median-of-adjacent-pairs discipline as
-    ``bench_fault_overhead``.
-    """
-    import dataclasses
-
-    import repro
-
-    uniform = repro.NetworkTopology.parse("uniform")
-
-    def run(topology):
-        return repro.simulate("2PC", measured_transactions=transactions,
-                              mpl=2, warmup_transactions=0, seed=1,
-                              network_topology=topology)
-
-    assert (json.dumps(dataclasses.asdict(run(None)))
-            == json.dumps(dataclasses.asdict(run(uniform)))), \
-        "uniform topology perturbed the trajectory"
-    plain_wall = uniform_wall = float("inf")
-    ratios = []
-    for _ in range(max(repeats, 5)):
-        start = time.perf_counter()
-        run(None)
-        plain = time.perf_counter() - start
-        start = time.perf_counter()
-        run(uniform)
-        with_model = time.perf_counter() - start
-        plain_wall = min(plain_wall, plain)
-        uniform_wall = min(uniform_wall, with_model)
-        ratios.append(with_model / plain)
-    ratios.sort()
-    median = ratios[len(ratios) // 2] if len(ratios) % 2 else \
-        (ratios[len(ratios) // 2 - 1] + ratios[len(ratios) // 2]) / 2
-    return {"wall_s": uniform_wall, "plain_wall_s": plain_wall,
-            "txns": transactions,
-            "overhead_ratio": median}
-
-
-def bench_partition_overhead(transactions: int, repeats: int) -> dict:
-    """Cost of the partition plane when no partition is active.
-
-    Runs the identical seeded workload on a 2x2-DC topology with an
-    armed injector (a crash scheduled far past the end of the run) and
-    with the same injector plus a far-future region fault plan.  The
-    plan adds the ``link_severed`` probe to every remote send; with no
-    cut active it must leave the simulation byte-identical (asserted)
-    and essentially free (the smoke gate pins the wall-clock ratio).
-    Same median-of-adjacent-pairs discipline as
-    ``bench_cost_model_overhead``.
+    - ``fault_overhead``: ``faults=None`` vs an inactive FaultConfig;
+    - ``cost_model_overhead``: no topology (the zero-consult hot path)
+      vs the ``uniform`` topology, which routes every remote send
+      through the LanSwitch;
+    - ``partition_overhead``: an armed injector (a crash far past the
+      end of the run) on a 2x2-DC topology vs the same plus a
+      far-future region plan, which adds the ``link_severed`` probe to
+      every remote send -- only the plan differs;
+    - ``replication_overhead``: the historical PageDirectory vs
+      replication factor 1 (a ReplicaDirectory of one-site replica sets).
     """
     import dataclasses
 
     import repro
     from repro.faults import CrashEvent, FaultConfig, RegionPlan
 
-    topology = repro.NetworkTopology.parse("dcs:2x2:rtt_ms=0")
-    # Both variants arm the injector identically; only the region plan
-    # differs, so the ratio isolates the partition plane itself.
+    dcs = {"num_sites": 4,
+           "network_topology": repro.NetworkTopology.parse("dcs:2x2:rtt_ms=0")}
     armed = FaultConfig(crash_schedule=(CrashEvent(0, 1e9, 1.0),))
     planned = dataclasses.replace(
         armed, region=RegionPlan.parse("partition:0|1:at=1e9:for=1"))
-
-    def run(faults):
-        return repro.simulate("2PC", measured_transactions=transactions,
-                              mpl=2, warmup_transactions=0, seed=1,
-                              num_sites=4, network_topology=topology,
-                              faults=faults)
-
-    assert (json.dumps(dataclasses.asdict(run(armed)))
-            == json.dumps(dataclasses.asdict(run(planned)))), \
-        "inactive region plan perturbed the trajectory"
-    armed_wall = planned_wall = float("inf")
-    ratios = []
-    for _ in range(max(repeats, 5)):
-        start = time.perf_counter()
-        run(armed)
-        plain = time.perf_counter() - start
-        start = time.perf_counter()
-        run(planned)
-        with_plan = time.perf_counter() - start
-        armed_wall = min(armed_wall, plain)
-        planned_wall = min(planned_wall, with_plan)
-        ratios.append(with_plan / plain)
-    ratios.sort()
-    median = ratios[len(ratios) // 2] if len(ratios) % 2 else \
-        (ratios[len(ratios) // 2 - 1] + ratios[len(ratios) // 2]) / 2
-    return {"wall_s": planned_wall, "plain_wall_s": armed_wall,
-            "txns": transactions,
-            "overhead_ratio": median}
-
-
-def bench_replication_overhead(transactions: int, repeats: int) -> dict:
-    """Cost of the replication plane at factor 1 (the inactive case).
-
-    Runs the identical seeded workload with no replication spec (the
-    historical partitioned :class:`PageDirectory`) and with
-    ``--replication 1`` (the :class:`ReplicaDirectory` resolving every
-    page to a one-site replica set).  Factor 1 must leave the
-    simulation byte-identical (asserted) and essentially free (the
-    smoke gate pins the wall-clock ratio).  Same
-    median-of-adjacent-pairs discipline as ``bench_partition_overhead``.
-    """
-    import dataclasses
-
-    import repro
-
-    def run(replication):
-        return repro.simulate("2PC", measured_transactions=transactions,
-                              mpl=2, warmup_transactions=0, seed=1,
-                              replication=replication)
-
-    single = repro.ReplicationSpec(1)
-    assert (json.dumps(dataclasses.asdict(run(None)))
-            == json.dumps(dataclasses.asdict(run(single)))), \
-        "replication factor 1 perturbed the trajectory"
-    plain_wall = replicated_wall = float("inf")
-    ratios = []
-    for _ in range(max(repeats, 5)):
-        start = time.perf_counter()
-        run(None)
-        plain = time.perf_counter() - start
-        start = time.perf_counter()
-        run(single)
-        with_directory = time.perf_counter() - start
-        plain_wall = min(plain_wall, plain)
-        replicated_wall = min(replicated_wall, with_directory)
-        ratios.append(with_directory / plain)
-    ratios.sort()
-    median = ratios[len(ratios) // 2] if len(ratios) % 2 else \
-        (ratios[len(ratios) // 2 - 1] + ratios[len(ratios) // 2]) / 2
-    return {"wall_s": replicated_wall, "plain_wall_s": plain_wall,
-            "txns": transactions,
-            "overhead_ratio": median}
+    planes = {
+        "fault_overhead": (
+            {"faults": None}, {"faults": FaultConfig()},
+            "inactive FaultConfig"),
+        "cost_model_overhead": (
+            {"network_topology": None},
+            {"network_topology": repro.NetworkTopology.parse("uniform")},
+            "uniform topology"),
+        "partition_overhead": (
+            {**dcs, "faults": armed}, {**dcs, "faults": planned},
+            "inactive region plan"),
+        "replication_overhead": (
+            {"replication": None}, {"replication": repro.ReplicationSpec(1)},
+            "replication factor 1"),
+    }
+    return {key: _inactive_plane(transactions, repeats, *plane)
+            for key, plane in planes.items()}
 
 
 def bench_wan_point(transactions: int, repeats: int) -> dict:
@@ -628,13 +531,7 @@ def main(argv=None) -> int:
         # Wall-clock ratios need many best-of pairs even in smoke mode:
         # on a busy 1-core runner, 5 interleaved pairs jitter the ratio
         # far more than 15 do (the ceilings above absorb the rest).
-        "fault_overhead": bench_fault_overhead(sizes["transactions"], 15),
-        "cost_model_overhead": bench_cost_model_overhead(
-            sizes["transactions"], 15),
-        "partition_overhead": bench_partition_overhead(
-            sizes["transactions"], 15),
-        "replication_overhead": bench_replication_overhead(
-            sizes["transactions"], 15),
+        **bench_inactive_planes(sizes["transactions"], 15),
         "wan_point": bench_wan_point(sizes["transactions"],
                                      sizes["repeats"]),
     }

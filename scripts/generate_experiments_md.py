@@ -192,8 +192,9 @@ COMMENTARY: dict[str, tuple[str, str, str]] = {
         "tail) all measure exactly their analytic counts, and OPT-LIN "
         "confirms Section 3.2's claim that lending composes with the "
         "chain (`benchmarks/bench_protocol_family.py`).  "
-        "(4) `repro.faults` + `repro.experiments.availability` "
-        "(`repro-commit availability`): a seeded fault plan crashes "
+        "(4) `repro.faults` + the `availability` preset of "
+        "`repro.experiments.grid` (`repro-commit availability`): a "
+        "seeded fault plan crashes "
         "sites on exponential MTTF/MTTR cycles and drops messages "
         "while the protocol layer's timeout/status-inquiry/WAL-replay "
         "recovery machinery (docs/MODEL.md, \"Failure model & "
@@ -203,7 +204,7 @@ COMMENTARY: dict[str, tuple[str, str, str]] = {
         "protocol's presumption rule.  With faults disabled the "
         "injector wires nothing and trajectories stay byte-identical "
         "to the golden fixture (`tests/test_faults.py`).  "
-        "(5) `WorkloadMode.OPEN` + `repro.experiments.saturation` "
+        "(5) `WorkloadMode.OPEN` + the `saturation` preset "
         "(`repro-commit saturation`): per-site Poisson arrivals feed "
         "bounded admission queues (drop-on-full = shed load) drained "
         "by `mpl` workers per site, with optional hot-spot/Zipf access "
@@ -235,7 +236,7 @@ COMMENTARY: dict[str, tuple[str, str, str]] = {
         "database.  Peak RSS grows ~1.00x from 10⁴ to 10⁵ "
         "transactions (ceiling 1.25x, gated by "
         "`scripts/bench_trajectory.py --smoke`).  "
-        "(7) `repro.db.topology` + `repro.experiments.wan` "
+        "(7) `repro.db.topology` + the `wan` preset "
         "(`repro-commit wan`, `--topology` on every run mode): a "
         "pluggable network cost model prices the wire per directed "
         "link — `uniform` reproduces the paper's zero-latency switch "
@@ -258,9 +259,9 @@ COMMENTARY: dict[str, tuple[str, str, str]] = {
         "to the golden fixture, and the cost-model indirection is "
         "gated at ≤2% (`tests/db/test_topology.py`, "
         "`scripts/bench_trajectory.py --smoke`).  "
-        "(8) `repro.faults` region plans + "
-        "`repro.experiments.region_outage` (`repro-commit "
-        "region-outage`, `--fault-plan` on simulate): a parseable "
+        "(8) `repro.faults` region plans + the `region-outage` "
+        "preset (`repro-commit region-outage`, `--fault-plan` on "
+        "simulate): a parseable "
         "correlated-failure plan — `dc_crash:<dc>:at=…:for=…` crashes "
         "every site of a datacenter atomically, "
         "`partition:<dcA>|<dcB>:…` severs the link group between two "
@@ -272,7 +273,7 @@ COMMENTARY: dict[str, tuple[str, str, str]] = {
         "the cohort set reachable (no split brain) and commits an "
         "uncertain cohort on peer evidence of the precommit; the "
         "resolver backs off exponentially while the path is cut.  The "
-        "sweep grids protocol × outage shape × duration over a dcs "
+        "preset grids protocol × outage shape × duration over a dcs "
         "topology and reports blocked-lock time, carried throughput "
         "during the outage, recovery time, and the drop split — under "
         "a 4 s coordinator-side DC loss on dcs:3x2, 2PC holds locks "
@@ -285,8 +286,9 @@ COMMENTARY: dict[str, tuple[str, str, str]] = {
         "(`tests/test_region_faults.py`, "
         "`scripts/bench_trajectory.py --smoke`).  "
         "(9) `repro.core.paxos_commit` + `repro.db.pages` replication "
-        "(`repro-commit replication`, `--replication R[:strategy]` on "
-        "every run mode): Paxos Commit (Gray & Lamport) runs each "
+        "+ the `replication` preset (`repro-commit replication`, "
+        "`--replication R[:strategy]` on every run mode): Paxos Commit "
+        "(Gray & Lamport) runs each "
         "RM's vote as its own Paxos instance against 2F+1 acceptors "
         "drawn from the cohort sites — the coordinator decides at F+1 "
         "acceptances, and a blocked cohort that reaches any F+1 "
@@ -303,7 +305,7 @@ COMMENTARY: dict[str, tuple[str, str, str]] = {
         "unreachable replicas skipped and counted (available-copies "
         "liveness), R = 1 keeping the historical partitioned layout "
         "byte-identical and essentially free (`replication_overhead` "
-        "bench, ~1.00x full pairs).  The sweep "
+        "bench, ~1.00x full pairs).  The `replication` preset "
         "races 2PC/3PC/PAXOS across replication factor × site MTTF "
         "through a coordinator-DC outage on dcs:2x2: with stochastic "
         "site faults layered on the outage, PAXOS holds blocked locks "

@@ -232,6 +232,81 @@ class TestWan:
         assert code == 2
         assert text.startswith("error:")
 
+    def test_wan_zero_dcs_is_a_cli_error(self):
+        code, text = run_cli("wan", "--dcs", "0", "--transactions", "10")
+        assert code == 2
+        assert text.startswith("error: dcs topology needs num_dcs >= 1")
+
+
+class TestSweepCommands:
+    """The five extension sweeps share one handler; each keeps its
+    flags, defaults and error lines."""
+
+    @pytest.mark.parametrize("argv, first_line", [
+        (["wan", "--dcs", "-1"], "error: dcs topology needs num_dcs >= 1 "
+         "and sites_per_dc >= 1, got -1x-8"),
+        (["wan", "--placements", "nearby"],
+         "error: unknown placement 'nearby'; expected 'spread' or 'local'"),
+        (["wan", "--rtts", "abc"],
+         "error: --rtts wants comma-separated numbers, got 'abc'"),
+        (["region-outage", "--outages", "asteroid"],
+         "error: unknown outage 'asteroid'; expected one of dc_crash, "
+         "partition"),
+        (["region-outage", "--durations", "0"],
+         "error: outage durations must be positive, got 0.0"),
+        (["region-outage", "--topology", "dcs:1x4:rtt_ms=5"],
+         "error: region-outage needs at least 2 datacenters"),
+        (["replication", "--factors", "9"],
+         "error: replication factor 9 exceeds the 4 available sites"),
+        (["replication", "--outage-ms", "0"],
+         "error: outage duration must be positive, got 0.0"),
+        (["availability", "--mttfs=-5"], "error: mttf_ms must be >= 0"),
+        (["saturation", "--mpl", "0"], "error: mpl must be >= 1"),
+    ])
+    def test_bad_settings_are_cli_errors(self, argv, first_line):
+        code, text = run_cli(*argv, "--transactions", "10")
+        assert code == 2
+        assert text.splitlines()[0] == first_line
+
+    @pytest.mark.parametrize("command, surface", [
+        ("availability", {
+            "--protocols": "2PC,PA,PC,3PC,OPT",
+            "--mttfs": "0,400000,200000,100000", "--mttr-ms": 5000.0,
+            "--msg-loss": 0.0, "--mpl": 2, "--transactions": 300,
+            "--seed": 20250705, "--jobs": 1, "--quiet": False,
+            "--topology": None, "--local-cohorts": False,
+            "--replication": None}),
+        ("saturation", {
+            "--protocols": "2PC,PA,PC,3PC,OPT", "--rates": None,
+            "--mpl": 8, "--skew": None, "--queue-limit": 64,
+            "--transactions": 300, "--seed": 20250705, "--quiet": False,
+            "--topology": None, "--local-cohorts": False,
+            "--replication": None}),
+        ("wan", {
+            "--protocols": "2PC,PA,PC,3PC,OPT", "--rtts": "0,10,40,100",
+            "--dcs": 2, "--placements": "spread,local", "--mpl": 2,
+            "--transactions": 300, "--seed": 20250705, "--quiet": False}),
+        ("region-outage", {
+            "--protocols": "2PC,PA,PC,3PC,OPT",
+            "--outages": "dc_crash,partition", "--durations": "2000,4000",
+            "--topology": None, "--at-ms": 1000.0, "--mpl": 2,
+            "--transactions": 40, "--seed": 7, "--quiet": False}),
+        ("replication", {
+            "--protocols": "2PC,3PC,PAXOS", "--factors": (1, 2, 3),
+            "--mttfs": "0,60000", "--mttr-ms": 2000.0, "--topology": None,
+            "--at-ms": 1000.0, "--outage-ms": 1500.0, "--mpl": 2,
+            "--transactions": 40, "--seed": 7, "--quiet": False}),
+    ])
+    def test_flags_and_defaults(self, command, surface):
+        import argparse
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        actions = subparsers.choices[command]._actions
+        assert {action.option_strings[0]: action.default
+                for action in actions
+                if action.option_strings
+                and "--help" not in action.option_strings} == surface
+
 
 def test_parser_requires_command():
     with pytest.raises(SystemExit):

@@ -100,13 +100,13 @@ class TestOpenDeterminism:
         assert dataclasses.asdict(first) == dataclasses.asdict(second)
 
     def test_saturation_sweep_reproducible(self):
-        from repro.experiments.saturation import SaturationSweep
+        from repro.experiments import run_preset
 
         def run():
-            sweep = SaturationSweep(("2PC", "OPT"), rates=(1.0, 2.0),
-                                    measured_transactions=60, seed=3)
+            results = run_preset("saturation", protocols=("2PC", "OPT"),
+                                 rates=(1.0, 2.0), transactions=60, seed=3)
             return {key: dataclasses.asdict(point.result)
-                    for key, point in sweep.run().points.items()}
+                    for key, point in results.points.items()}
 
         assert run() == run()
 

@@ -317,6 +317,30 @@ class TestPaxosUnderFaults:
         assert blocked["PAXOS"] < blocked["2PC"]
 
 
+    def test_replica_applier_waits_never_deadlock(self):
+        """Spread replicas give each committed transaction appliers at
+        several sites; two of them applying overlapping pages in opposite
+        orders once closed a transaction-level wait-for cycle, and the
+        detector picked an already-committed transaction as its victim
+        (``on_victim callback failed to mark the victim aborting`` at
+        simulated t~115.8 s on this seed)."""
+        params = ModelParams(
+            num_sites=6, mpl=2,
+            network_topology=repro.NetworkTopology.parse("dcs:3x2:rtt_ms=10"),
+            replication=ReplicationSpec.parse("3:spread"))
+        faults = FaultConfig(
+            mttf_ms=30_000.0, mttr_ms=2_000.0,
+            region=RegionPlan.parse("dc_crash:0:mttf=60000:mttr=3000"))
+        captured = []
+        result = repro.simulate("PAXOS:f=1", params=params,
+                                measured_transactions=500,
+                                warmup_transactions=50, seed=1,
+                                faults=faults, on_system=captured.append)
+        assert result.committed == 500
+        assert captured[0].env.now > 116_000.0, "run ended before the " \
+            "instant the false deadlock used to fire"
+
+
 # ----------------------------------------------------------------------
 # Satellite 1: partition heal resets the re-inquiry backoff
 # ----------------------------------------------------------------------

@@ -468,31 +468,31 @@ class TestInertPlanIsFree:
 
 class TestRegionOutageSweepApi:
     def test_sweep_rejects_non_dcs_topology(self):
-        from repro.experiments import RegionOutageSweep
+        from repro.experiments import run_preset
         with pytest.raises(ValueError, match="dcs"):
-            RegionOutageSweep(["2PC"], topology="uniform")
+            run_preset("region-outage", protocols=["2PC"], topology="uniform")
 
     def test_sweep_point_metrics(self):
-        from repro.experiments import RegionOutageSweep
-        sweep = RegionOutageSweep(
-            ["2PC"], outages=("dc_crash",), durations_ms=(1500.0,),
-            topology="dcs:2x2:rtt_ms=5", measured_transactions=30)
-        results = sweep.run()
-        point = results.point("2PC", "dc_crash", 1500.0)
-        assert point.dc_crashes == 1
-        assert point.commits_during + point.commits_after >= 1
-        assert point.drops_by_reason
+        from repro.experiments import run_preset
+        results = run_preset(
+            "region-outage", protocols=["2PC"], outages=("dc_crash",),
+            durations=(1500.0,), topology="dcs:2x2:rtt_ms=5",
+            transactions=30)
+        point = results.point(protocol="2PC", outage="dc_crash",
+                              duration_ms=1500.0)
+        assert point["dc_crashes"] == 1
+        assert point["commits_during"] + point["commits_after"] >= 1
+        assert point["drops_by_reason"]
         assert "region-outage" in results.summary()
 
     def test_availability_pool_matches_serial(self):
-        from repro.experiments.availability import AvailabilitySweep
+        from repro.experiments import run_preset
 
         def run(jobs):
-            sweep = AvailabilitySweep(
-                ("2PC", "PA"), mttfs=(0.0, 60_000.0),
-                measured_transactions=40, seed=5)
-            results = sweep.run(jobs=jobs)
-            return {key: dataclasses.asdict(point)
+            results = run_preset(
+                "availability", protocols=("2PC", "PA"),
+                mttfs=(0.0, 60_000.0), transactions=40, seed=5, jobs=jobs)
+            return {key: (dataclasses.asdict(point.result), point.readings)
                     for key, point in results.points.items()}
 
         assert run(1) == run(2)
