@@ -1,14 +1,15 @@
 """Blocking-analysis benchmark (extension; see DESIGN.md section 6).
 
-Injects a master crash between the voting and decision phases and
-measures the cohorts' lock-holding time and the system's throughput
-during the outage, for each blocking protocol and for 3PC with its
+Stalls one transaction's master just before its COMMIT force (the
+``master_stall`` fault-plan directive, run as the ``blocking`` preset)
+and measures the cohorts' lock-holding time and the system's throughput
+during the stall, for each blocking protocol and for 3PC with its
 termination protocol.  Quantifies the paper's Section 2.4 argument.
 """
 
 import pytest
 
-from repro.failures import run_crash_scenario
+from repro.experiments import run_preset
 
 OUTAGE_MS = 15_000.0
 
@@ -16,22 +17,21 @@ OUTAGE_MS = 15_000.0
 @pytest.mark.benchmark(group="blocking")
 def test_blocking_vs_nonblocking_under_master_crash(benchmark):
     def run_all():
-        return {protocol: run_crash_scenario(
-            protocol, crash_duration_ms=OUTAGE_MS,
-            measured_transactions=300)
-            for protocol in ("2PC", "PA", "PC", "3PC")}
+        return run_preset("blocking", outages=(OUTAGE_MS,),
+                          transactions=300)
 
-    reports = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
     print()
-    for report in reports.values():
-        print(report.summary())
+    print(results.summary())
+    point = {protocol: results.point(protocol=protocol, outage_ms=OUTAGE_MS)
+             for protocol in ("2PC", "PA", "PC", "3PC")}
 
     for protocol in ("2PC", "PA", "PC"):
-        assert reports[protocol].unblock_latency_ms >= OUTAGE_MS, (
+        assert point[protocol]["unblock_ms"] >= OUTAGE_MS, (
             f"{protocol} is a blocking protocol: cohorts must hold "
-            "locks until recovery")
-    assert reports["3PC"].unblock_latency_ms < OUTAGE_MS / 10, (
+            "locks until the master resumes")
+    assert point["3PC"]["unblock_ms"] < OUTAGE_MS / 10, (
         "3PC's termination protocol must unblock within the timeout")
-    # The outage must visibly hurt blocking protocols' throughput.
-    assert (reports["3PC"].outage_throughput
-            > 1.5 * reports["2PC"].outage_throughput)
+    # The stall must visibly hurt blocking protocols' throughput.
+    assert (point["3PC"]["throughput_during"]
+            > 1.5 * point["2PC"]["throughput_during"])

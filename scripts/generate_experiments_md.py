@@ -179,11 +179,16 @@ COMMENTARY: dict[str, tuple[str, str, str]] = {
         "a single point of failure, so replicate the pages and commit "
         "with a quorum protocol that tolerates coordinator loss "
         "outright.",
-        "(1) `repro.failures`: with a 15 s master outage, 2PC/PA/PC "
-        "cohorts hold their update locks for the entire outage and "
-        "system throughput collapses an order of magnitude, while "
-        "3PC's termination protocol releases locks within the decision "
-        "timeout (`benchmarks/bench_blocking_failure.py`).  "
+        "(1) The `master_stall` fault-plan directive, run as the "
+        "`blocking` preset of `repro.experiments.grid`: when txn 40's "
+        "master goes silent for 15 s just before its COMMIT force (300 "
+        "measured txns, seed 20250705), 2PC/PA/PC cohorts hold their "
+        "update locks for the whole stall (released 15.48–15.49 s "
+        "after it starts) and throughput during the stall falls to "
+        "4.1–7.1 txn/s, while 3PC's termination protocol releases them "
+        "after 0.6 s (the 500 ms decision timeout plus one inquiry "
+        "round) and carries 15.7 txn/s "
+        "(`benchmarks/bench_blocking_failure.py`).  "
         "(2) `repro.admission`: at MPL 10 — deep in the thrashing "
         "region — the Half-and-Half controller recovers ~90% of the "
         "gap back to peak throughput (`benchmarks/bench_admission.py`). "

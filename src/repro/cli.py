@@ -459,10 +459,13 @@ def _add_fault_args(sim: argparse.ArgumentParser) -> None:
                      metavar="SPEC",
                      help="correlated-failure plan, comma-separated "
                           "directives: 'dc_crash:<dc>:at=<ms>:for=<ms>', "
-                          "'partition:<dcA>|<dcB>:at=<ms>:for=<ms>', or "
-                          "stochastic variants with mttf=<ms>:mttr=<ms>; "
-                          "needs a multi-DC --topology; arms the "
-                          "injector on its own (no --faults needed)")
+                          "'partition:<dcA>|<dcB>:at=<ms>:for=<ms>', "
+                          "stochastic variants with mttf=<ms>:mttr=<ms> "
+                          "(these need a multi-DC --topology), or "
+                          "'master_stall:<txn>:for=<ms>' (txn <txn>'s "
+                          "master goes silent before its COMMIT force); "
+                          "arms the injector on its own (no --faults "
+                          "needed)")
 
 
 def cmd_list(out: typing.TextIO) -> int:

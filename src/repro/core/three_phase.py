@@ -40,13 +40,14 @@ class ThreePhaseCommit(TwoPhaseCommit):
             # exactly as in 2PC.
             yield from self.master_abort_phase(master)
             return self.abort_outcome(master)
-        # Precommit phase: the preliminary decision.  Once the precommit
-        # record is stable, commit is inevitable -- this master never
-        # aborts past this point, so a crash from here on still counts
-        # as a commit (the cohorts resolve to commit from the WAL or via
-        # the termination protocol).
-        yield from master.force_log(LogRecordKind.PRECOMMIT)
+        # Precommit phase: the preliminary decision.  The WAL appends
+        # the precommit record when its force starts, and recovery reads
+        # it as commit (the ``precommit-record`` rule); this master never
+        # aborts past this point, so a crash from the force onward still
+        # counts as a commit (the cohorts resolve to commit from the WAL
+        # or via the termination protocol).
         master.decided = TransactionOutcome.COMMITTED
+        yield from master.force_log(LogRecordKind.PRECOMMIT)
         for cohort in master.prepared_cohorts:
             yield from master.send(MessageKind.PRECOMMIT, cohort)
         yield from self.collect_acks(master, MessageKind.PRECOMMIT_ACK,

@@ -448,15 +448,19 @@ class DistributedSystem:
         in-doubt (locks held until WAL replay) or mid-resolution, and
         terminate through the recovery machinery.  Anything earlier in
         its lifecycle is simply an orphan of an already-decided
-        incarnation.
+        incarnation.  A master lost to a site crash reaps with TIMEOUT:
+        these cohorts' sites are up, and a SITE_CRASH cause would park
+        a cohort that prepares meanwhile in doubt.
         """
+        cause = txn.abort_reason
+        if cause is None or cause is AbortReason.SITE_CRASH:
+            cause = AbortReason.TIMEOUT
         for cohort in txn.cohorts:
             if cohort.state in (CohortState.PREPARED,
                                 CohortState.PRECOMMITTED):
                 continue
             if cohort.process is not None and cohort.process.is_alive:
-                cohort.process.interrupt(
-                    txn.abort_reason or AbortReason.TIMEOUT)
+                cohort.process.interrupt(cause)
 
     def abort_transaction(self, txn: Transaction, reason: AbortReason) -> None:
         """Kill an incarnation (deadlock victim or lender-abort cascade).

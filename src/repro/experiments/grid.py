@@ -25,7 +25,7 @@ from repro.core.registry import create_protocol
 from repro.db.pages import ReplicationSpec
 from repro.db.topology import NetworkTopology, TopologyKind
 from repro.experiments.runner import ParallelSweepRunner, PointSpec, ProgressFn
-from repro.faults import FaultConfig, RegionPlan
+from repro.faults import FaultConfig, FaultTimeouts, RegionPlan
 from repro.obs import EventKind
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -90,9 +90,44 @@ def outage_commits(system: "DistributedSystem", spec: PointSpec) -> Reader:
     return read
 
 
+def stall_window(system: "DistributedSystem", spec: PointSpec) -> Reader:
+    """For the point's ``master_stall`` directive: the target's committed
+    lock releases from the stall's onset on, the latest of them (its
+    unblock latency), and the commits and tps inside the stall.  Raises
+    if the target never reached its COMMIT force."""
+    assert spec.faults is not None and spec.faults.region is not None
+    stall = next(d for d in spec.faults.region.directives
+                 if d.kind == "master_stall")
+    onset: list[float] = []
+    releases: list[float] = []
+    commits: list[float] = []
+    system.bus.subscribe_map({
+        EventKind.SITE_CRASH: lambda event: onset.append(event.time)
+        if event.txn_id == stall.txn else None,
+        EventKind.LOCK_RELEASE: lambda event: releases.append(event.time)
+        if event.committed and event.cohort.txn.txn_id == stall.txn
+        else None,
+        EventKind.TXN_COMMIT: lambda event: commits.append(event.time)})
+
+    def read() -> dict[str, typing.Any]:
+        if not onset:
+            raise RuntimeError(
+                f"txn {stall.txn} never reached its commit phase; raise "
+                f"transactions or lower target_txn_id")
+        start, end = onset[0], onset[0] + stall.for_ms
+        released = [t for t in releases if t >= start]
+        during = sum(1 for t in commits if start <= t <= end)
+        return {"target_releases": len(released),
+                "unblock_ms": max(released, default=start) - start,
+                "commits_during": during,
+                "throughput_during": during / (stall.for_ms / 1000.0)}
+    return read
+
+
 PROBES: dict[str, typing.Callable[["DistributedSystem", PointSpec],
                                   Reader]] = {
-    "counters": system_counters, "outage": outage_commits}
+    "counters": system_counters, "outage": outage_commits,
+    "stall": stall_window}
 
 
 # ----------------------------------------------------------------------
@@ -544,5 +579,41 @@ REPLICATION = Preset(
 )
 
 
+# -- blocking: protocol x master stall length (Section 2.4, X1) --------
+def _blocking_lines(results: GridResults) -> list[str]:
+    return [f"{point.values['protocol']:>4}: cohorts blocked for "
+            f"{point['unblock_ms']:8.1f} ms after the stall; throughput "
+            f"during the {point.values['outage_ms'] / 1000:g}s stall "
+            f"{point['throughput_during']:6.2f} txn/s"
+            for point in results.points.values()]
+
+
+BLOCKING = Preset(
+    name="blocking",
+    #: X1's scenario: the master of txn 40 stalls with every cohort in
+    #: its decision wait; 3PC's cohorts time out after 500 ms and
+    #: terminate without it, 2PC/PA/PC cohorts block out the stall.
+    defaults=_settings(protocols=("2PC", "PA", "PC", "3PC"),
+                       outages=(20_000.0,), target_txn_id=40,
+                       decision_timeout_ms=500.0, mpl=4, transactions=600),
+    axes={"protocol": "protocols", "outage_ms": "outages"},
+    params=lambda c: {"mpl": c["mpl"]},
+    faults=lambda c: {
+        "region": RegionPlan.parse(
+            f"master_stall:{c['target_txn_id']}:for={c['outage_ms']}"),
+        "timeouts": FaultTimeouts(
+            decision_timeout_ms=c["decision_timeout_ms"])},
+    probes=("stall",),
+    warmup=0,
+    label="blocking: {protocol} master stalled {outage_ms:.0f}ms",
+    title="== blocking: txn {target_txn_id}'s master stalls before its "
+          "COMMIT force ==",
+    table=Table(rows="outage_ms", head="stall", head_width=8,
+                row="{outage_ms:.0f}ms", suffix=" (unblk/tps)", width=18,
+                cell="{unblock_ms:.0f}ms/{throughput_during:.2f}"),
+    lines=_blocking_lines,
+)
+
+
 PRESETS: dict[str, Preset] = {preset.name: preset for preset in (
-    AVAILABILITY, SATURATION, WAN, REGION_OUTAGE, REPLICATION)}
+    AVAILABILITY, SATURATION, WAN, REGION_OUTAGE, REPLICATION, BLOCKING)}

@@ -2,12 +2,11 @@
 
 The paper's argument about commit protocols is ultimately an argument
 about *failures* -- blocking in the 2PC family versus 3PC's termination
-protocol -- yet most simulation studies (this reproduction's scripted
-:mod:`repro.failures` scenarios included) only ever crash one
-hand-picked process.  This package generalizes that: a seeded,
-deterministic :class:`FaultPlan` schedules stochastic site crash/recover
-cycles (MTTF/MTTR) or explicit crash schedules, plus per-message loss in
-the network; the :class:`FaultInjector` executes the plan against a
+protocol -- yet most simulation studies only ever crash one hand-picked
+process.  This package generalizes that: a seeded, deterministic
+:class:`FaultPlan` schedules stochastic site crash/recover cycles
+(MTTF/MTTR) or explicit crash schedules, plus per-message loss in the
+network; the :class:`FaultInjector` executes the plan against a
 running :class:`~repro.db.system.DistributedSystem`, and the protocol
 layer (``core/base.py``) supplies the timeout and WAL-replay recovery
 machinery every registered protocol inherits.
@@ -23,9 +22,12 @@ link partitions: a parseable :class:`RegionPlan` (``--fault-plan``)
 crashes every site of a datacenter atomically or severs the link group
 between two datacenters, with scheduled (``at=/for=``) or stochastic
 (``mttf=/mttr=`` on per-directive streams ``faults-dc-<dc>`` /
-``faults-partition-<a>-<b>``) timing.  Region plans require a
+``faults-partition-<a>-<b>``) timing.  Those directives require a
 multi-datacenter topology (``--topology dcs:...``) to resolve the
-site -> datacenter placement.
+site -> datacenter placement.  The plan's ``master_stall`` directive is
+the hand-picked case: one transaction's master goes silent before its
+COMMIT force (the ``blocking`` preset of :mod:`repro.experiments.grid`
+measures it).
 
 An *inactive* config (:attr:`FaultConfig.is_active` false) wires
 nothing: the system runs byte-identical to one built without faults

@@ -14,6 +14,10 @@ Crash semantics (docs/MODEL.md, "Failure model & recovery"):
   (:meth:`repro.core.base.CommitProtocol.resolve_in_doubt`) until it
   commits or aborts, releasing its locks.
 
+A ``master_stall`` directive is not a crash: the target transaction's
+master goes silent before its COMMIT force (:meth:`FaultInjector.stall`)
+while its site, its state and every other agent there keep running.
+
 Everything here is driven by ordinary simulation processes and named
 RNG streams, so runs are deterministic and reproducible.
 """
@@ -39,7 +43,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.messages import Message
     from repro.db.site import Site
     from repro.db.system import DistributedSystem
-    from repro.db.transaction import CohortAgent, Transaction
+    from repro.db.transaction import CohortAgent, MasterAgent, Transaction
     from repro.faults.region import RegionDirective
 
 #: cohort states whose volatile context is lost without consequence --
@@ -79,8 +83,11 @@ class FaultInjector:
         # configuration error, caught here (surfaces as a CLI error).
         cost = system.cost_model
         self._placement = None if cost is None else cost.placement
+        #: stall length per ``master_stall`` target txn; popped on firing.
+        self._stalls = {d.txn: d.for_ms for d in self.plan.region_directives()
+                        if d.kind == "master_stall"}
         region = config.region
-        if region is not None and region.directives:
+        if region is not None and any(d.dcs() for d in region.directives):
             if self._placement is None:
                 raise ValueError(
                     "a region fault plan needs a multi-datacenter "
@@ -115,6 +122,8 @@ class FaultInjector:
             env.process(self._stochastic_driver(site),
                         name=f"faults-mttf@{site_id}")
         for index, directive in enumerate(self.plan.region_directives()):
+            if directive.kind == "master_stall":
+                continue  # fired from the master's COMMIT force
             driver = (self._region_scheduled_driver
                       if directive.is_scheduled
                       else self._region_stochastic_driver)
@@ -130,9 +139,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Queries (used by the network and the protocol layer)
     # ------------------------------------------------------------------
-    def site_is_up(self, site: "Site") -> bool:
-        return site.up
-
     @property
     def partitions_active(self) -> bool:
         """True while any inter-DC link group is severed."""
@@ -190,6 +196,28 @@ class FaultInjector:
         retry = self.config.timeouts.resolve_retry_ms
         while not site.up:
             yield self.system.env.timeout(retry)
+
+    def stall(self, master: "MasterAgent"):
+        """Coroutine: a ``master_stall`` aimed at ``master``'s txn holds
+        the master silent here, just before its COMMIT force (once).
+
+        The site stays up and the master keeps its state: its cohorts
+        wait out their decision timeout in doubt, and the master
+        finishes the protocol when the stall ends.  The stall publishes
+        the :class:`SiteCrash`/:class:`SiteRecover` pair with the
+        target's ``txn_id``.
+        """
+        for_ms = self._stalls.pop(master.txn.txn_id, None)
+        if for_ms is None:
+            return
+        env = self.system.env
+        bus = self.system.bus
+        site_id, txn_id = master.site.site_id, master.txn.txn_id
+        if bus.has_subscribers(EventKind.SITE_CRASH):
+            bus.publish(SiteCrash(env.now, site_id, txn_id))
+        yield env.timeout(for_ms)
+        if bus.has_subscribers(EventKind.SITE_RECOVER):
+            bus.publish(SiteRecover(env.now, site_id, txn_id))
 
     # ------------------------------------------------------------------
     # Crash / recover drivers

@@ -22,15 +22,21 @@ per directive):
   the two datacenters is severed (messages and inquiries across it are
   dropped; the sites themselves stay up) and heals ``for`` ms later.
 - ``partition:<dcA>|<dcB>:mttf=<ms>:mttr=<ms>`` -- stochastic variant.
+- ``master_stall:<txn>:for=<ms>`` -- transaction ``<txn>``'s master
+  goes silent for ``for`` ms just before it forces its COMMIT record,
+  while its site stays up: every cohort is in its decision wait then
+  (prepared, or precommitted under 3PC), so the stall measures the
+  paper's Section 2.4 blocking window.  It names no datacenter, so it
+  needs no multi-DC topology.
 
 Directives compose: overlapping severs of the same link group nest
 (depth-counted), and a DC crash overlapping a per-site outage only takes
 down -- and later only recovers -- the sites it actually crashed.
 
-A plan is resolved against the active topology's site -> datacenter
-placement by the injector; running one without a multi-DC topology is a
-configuration error (surfaced as a CLI ``error:`` exit, like a bad
-``--topology`` spec).
+A plan's DC directives are resolved against the active topology's
+site -> datacenter placement by the injector; running one without a
+multi-DC topology is a configuration error (surfaced as a CLI ``error:``
+exit, like a bad ``--topology`` spec).
 """
 
 from __future__ import annotations
@@ -41,9 +47,9 @@ import dataclasses
 #: errors).
 _PLAN_FORMS = ("'dc_crash:<dc>:at=<ms>:for=<ms>', "
                "'dc_crash:<dc>:mttf=<ms>:mttr=<ms>', "
-               "'partition:<dcA>|<dcB>:at=<ms>:for=<ms>', or "
-               "'partition:<dcA>|<dcB>:mttf=<ms>:mttr=<ms>' "
-               "(comma-separated)")
+               "'partition:<dcA>|<dcB>:at=<ms>:for=<ms>', "
+               "'partition:<dcA>|<dcB>:mttf=<ms>:mttr=<ms>', or "
+               "'master_stall:<txn>:for=<ms>' (comma-separated)")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,17 +57,20 @@ class RegionDirective:
     """One correlated-failure clause of a :class:`RegionPlan`.
 
     Exactly one mode is set: *scheduled* (``at_ms >= 0`` with a positive
-    ``for_ms``) or *stochastic* (positive ``mttf_ms``/``mttr_ms``).
-    Partition endpoints are normalized so ``dc_a < dc_b`` -- a severed
-    link group cuts both directions.
+    ``for_ms``) or *stochastic* (positive ``mttf_ms``/``mttr_ms``); a
+    ``master_stall`` sets only ``txn`` and ``for_ms``.  Partition
+    endpoints are normalized so ``dc_a < dc_b`` -- a severed link group
+    cuts both directions.
     """
 
-    kind: str  # "dc_crash" | "partition"
+    kind: str  # "dc_crash" | "partition" | "master_stall"
     #: dc_crash: the datacenter that goes down.
     dc: int = -1
     #: partition: the two datacenters whose link group is severed.
     dc_a: int = -1
     dc_b: int = -1
+    #: master_stall: the transaction whose master stalls.
+    txn: int = -1
     #: scheduled mode: onset time and outage duration.
     at_ms: float = -1.0
     for_ms: float = 0.0
@@ -84,11 +93,21 @@ class RegionDirective:
         """Every datacenter this directive references."""
         if self.kind == "dc_crash":
             return (self.dc,)
+        if self.kind == "master_stall":
+            return ()
         return (self.dc_a, self.dc_b)
 
     def validate(self) -> None:
-        if self.kind not in ("dc_crash", "partition"):
+        if self.kind not in ("dc_crash", "partition", "master_stall"):
             raise ValueError(f"unknown directive kind {self.kind!r}")
+        if self.kind == "master_stall":
+            if self.txn < 0:
+                raise ValueError("master_stall needs a transaction id >= 0")
+            if self.is_scheduled or self.mttf_ms or self.mttr_ms:
+                raise ValueError("master_stall takes only for=<ms>")
+            if self.for_ms <= 0:
+                raise ValueError("master_stall needs for=<ms> > 0")
+            return
         if self.kind == "dc_crash":
             if self.dc < 0:
                 raise ValueError("dc_crash needs a datacenter index >= 0")
@@ -122,6 +141,8 @@ class RegionDirective:
                 "mttf=<ms>:mttr=<ms>")
 
     def describe(self) -> str:
+        if self.kind == "master_stall":
+            return f"master_stall txn{self.txn} for={self.for_ms:g}ms"
         target = (f"dc{self.dc}" if self.kind == "dc_crash"
                   else f"dc{self.dc_a}|dc{self.dc_b}")
         if self.is_scheduled:
@@ -202,6 +223,11 @@ class RegionPlan:
                     parts[2:], ("at", "for", "mttf", "mttr"))
                 return RegionDirective(
                     kind="partition", dc_a=dc_a, dc_b=dc_b,
+                    **cls._timing(options))
+            if kind == "master_stall" and len(parts) >= 3:
+                options = cls._parse_options(parts[2:], ("for",))
+                return RegionDirective(
+                    kind="master_stall", txn=int(parts[1]),
                     **cls._timing(options))
         except ValueError as error:
             raise ValueError(

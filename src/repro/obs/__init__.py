@@ -13,9 +13,9 @@ nobody listens to cost one dict membership test (see the
 Built-in subscribers:
 
 - :class:`repro.metrics.MetricsCollector` -- the paper's statistics;
-- :class:`repro.trace.Tracer` -- human-readable lifecycle traces;
 - :class:`repro.admission.HalfAndHalfController` -- load control;
-- :class:`EventLog` -- raw in-memory recording (tests, diffing runs);
+- :class:`EventLog` -- in-memory recording of chosen kinds, optionally
+  capped (lifecycle traces, tests, diffing runs);
 - :class:`PhaseLatencyObserver` -- per-phase commit latency breakdown;
 - :class:`JsonlExporter` -- ``--events-out`` offline event streams;
 - :class:`WindowedStats` -- O(1)-memory per-window aggregates for

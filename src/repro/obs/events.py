@@ -296,8 +296,9 @@ class DeadlockVictim(SimEvent):
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class SiteCrash(SimEvent):
-    """A failure: a whole site (``txn_id == -1``) or -- in the scripted
-    blocking scenarios -- a single master process going silent."""
+    """A failure: a whole site crashes (``txn_id == -1``), or -- under a
+    ``master_stall`` directive -- txn ``txn_id``'s master goes silent
+    while its site stays up and the master keeps its state."""
 
     kind = EventKind.SITE_CRASH
     site_id: int

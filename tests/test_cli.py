@@ -50,6 +50,42 @@ class TestSimulate:
         assert "2PC" in text  # the message lists the valid names
 
 
+class TestMasterStallPlan:
+    def test_master_stall_needs_no_topology(self):
+        code, text = run_cli("simulate", "2PC", "--mpl", "4",
+                             "--transactions", "120",
+                             "--fault-plan", "master_stall:40:for=3000")
+        assert code == 0
+        (line,) = [line for line in text.splitlines()
+                   if line.startswith("region faults:")]
+        blocked_ms = float(line.split("ms blocked lock time")[0]
+                           .rsplit(" ", 1)[1])
+        assert blocked_ms > 0
+
+    @pytest.mark.parametrize("bad", [
+        "master_stall:abc:for=1", "master_stall:40", "master_stall:40:for=0",
+        "master_stall:40:at=1:for=1", "master_stall:40:mttf=1:mttr=1",
+    ])
+    def test_malformed_master_stall_is_a_usage_error(self, bad, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "2PC", "--fault-plan", bad])
+        assert exit_info.value.code == 2
+        assert "bad fault plan spec" in capsys.readouterr().err
+
+    def test_dc_crash_still_needs_a_topology(self):
+        code, text = run_cli("simulate", "2PC", "--transactions", "10",
+                             "--fault-plan", "dc_crash:0:at=1:for=1")
+        assert code == 2
+        assert text.startswith("error: a region fault plan needs a "
+                               "multi-datacenter topology")
+
+    def test_help_names_the_master_stall_form(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "master_stall:<txn>:for=<ms>" in help_text
+
+
 class TestRun:
     def test_run_experiment_small(self):
         code, text = run_cli("run", "E1", "--transactions", "40",

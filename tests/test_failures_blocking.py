@@ -1,7 +1,7 @@
-"""Blocking-cost coverage across every crash scenario (ISSUE 3
-satellite): all three blocking protocols plus the 3PC termination
-path, with the event stream proving the injected run is
-indistinguishable from a healthy one right up to the crash instant.
+"""Blocking-cost coverage across every protocol under a master stall:
+all three blocking protocols plus the 3PC termination path, with the
+event stream proving the stalled run is indistinguishable from an
+unstalled one right up to the stall instant.
 """
 
 import pytest
@@ -9,14 +9,18 @@ import pytest
 from repro.config import ModelParams
 from repro.core import create_protocol
 from repro.db.system import DistributedSystem
-from repro.failures import run_crash_scenario
+from repro.experiments import run_preset
+from repro.faults import FaultConfig, FaultTimeouts, RegionPlan
 from repro.obs import EventLog
 from repro.obs.events import EventKind
 
-CRASH_MS = 5_000.0
+pytestmark = pytest.mark.faults
+
+STALL_MS = 5_000.0
 TIMEOUT_MS = 500.0
 TXNS = 150
 SEED = 11
+TARGET = 40
 
 BLOCKING = ("2PC", "PA", "PC")
 ALL = BLOCKING + ("3PC",)
@@ -27,67 +31,77 @@ def _params():
 
 
 @pytest.fixture(scope="module")
-def reports():
-    return {name: run_crash_scenario(
-        name, crash_duration_ms=CRASH_MS, decision_timeout_ms=TIMEOUT_MS,
-        params=_params(), measured_transactions=TXNS, seed=SEED)
-        for name in ALL}
+def results():
+    return run_preset("blocking", protocols=ALL, outages=(STALL_MS,),
+                      target_txn_id=TARGET, decision_timeout_ms=TIMEOUT_MS,
+                      transactions=TXNS, seed=SEED)
+
+
+def _unblock(results, protocol):
+    return results.point(protocol=protocol, outage_ms=STALL_MS)["unblock_ms"]
 
 
 class TestUnblockLatencyOrdering:
     @pytest.mark.parametrize("protocol", BLOCKING)
-    def test_every_blocking_protocol_blocks_for_the_outage(self, reports,
+    def test_every_blocking_protocol_blocks_for_the_outage(self, results,
                                                            protocol):
-        latency = reports[protocol].unblock_latency_ms
-        # Cohorts hold their locks until the master recovers: the
-        # unblock latency is the crash duration plus protocol rounds.
-        assert CRASH_MS <= latency < CRASH_MS + 2_000.0
+        # Cohorts hold their locks until the master resumes: the unblock
+        # latency is the stall plus protocol rounds.
+        assert STALL_MS <= _unblock(results, protocol) < STALL_MS + 2_000.0
 
-    def test_3pc_unblocks_at_the_decision_timeout(self, reports):
-        latency = reports["3PC"].unblock_latency_ms
-        assert TIMEOUT_MS <= latency < CRASH_MS / 2, (
+    def test_3pc_unblocks_at_the_decision_timeout(self, results):
+        assert TIMEOUT_MS <= _unblock(results, "3PC") < STALL_MS / 2, (
             "the termination protocol must release locks on the "
-            "decision timeout, not at master recovery")
+            "decision timeout, not when the master resumes")
 
-    def test_strict_ordering_nonblocking_beats_all_blocking(self, reports):
-        worst_3pc = reports["3PC"].unblock_latency_ms
+    def test_strict_ordering_nonblocking_beats_all_blocking(self, results):
         for protocol in BLOCKING:
-            assert worst_3pc < reports[protocol].unblock_latency_ms
+            assert _unblock(results, "3PC") < _unblock(results, protocol)
 
     @pytest.mark.parametrize("protocol", ALL)
-    def test_every_target_cohort_releases(self, reports, protocol):
-        assert len(reports[protocol].release_times_ms) == \
-            _params().dist_degree
+    def test_every_target_cohort_releases(self, results, protocol):
+        point = results.point(protocol=protocol, outage_ms=STALL_MS)
+        assert point["target_releases"] == _params().dist_degree
+
+
+def _stall_run(protocol, target):
+    """A seeded run with a stall aimed at ``target``, fully logged."""
+    faults = FaultConfig(
+        region=RegionPlan.parse(f"master_stall:{target}:for={STALL_MS}"),
+        timeouts=FaultTimeouts(decision_timeout_ms=TIMEOUT_MS))
+    system = DistributedSystem(_params(), create_protocol(protocol),
+                               seed=SEED, faults=faults)
+    log = EventLog().attach(system.bus)
+    system.run(measured_transactions=TXNS, warmup_transactions=0)
+    return log
 
 
 class TestEventStreamPrefix:
-    """An injected run must look exactly like a healthy run until the
-    crash: same events, same order, same timestamps."""
+    """A stalled run must look exactly like an unstalled run on the same
+    armed fault plane until the stall: same events, same order, same
+    timestamps.  (The baseline aims the stall at a txn that never
+    commits; an unarmed run is no baseline, because arming the plane
+    reorders same-instant events.)"""
 
     @pytest.mark.parametrize("protocol", ALL)
     def test_prefix_identical_to_healthy_run(self, protocol):
-        crash_log = EventLog()
-        report = run_crash_scenario(
-            protocol, crash_duration_ms=CRASH_MS,
-            decision_timeout_ms=TIMEOUT_MS, params=_params(),
-            measured_transactions=TXNS, seed=SEED, event_log=crash_log)
+        stalled = _stall_run(protocol, TARGET)
+        healthy = _stall_run(protocol, 1_000_000_000)
 
-        healthy = DistributedSystem(_params(), create_protocol(protocol),
-                                    seed=SEED)
-        healthy_log = EventLog().attach(healthy.bus)
-        healthy.run(measured_transactions=TXNS, warmup_transactions=0)
-
-        crash_time = report.crash_time_ms
-        crash_prefix = crash_log.as_dicts(until=crash_time)
-        healthy_prefix = healthy_log.as_dicts(until=crash_time)
-        assert len(crash_prefix) > 500, "prefix too short to be meaningful"
-        assert crash_prefix == healthy_prefix
-        # ... and the streams diverge after it: the injected run
-        # records the crash, the healthy run never does.
-        assert len(crash_log.of_kind(EventKind.SITE_CRASH)) == 1
+        (crash,) = stalled.of_kind(EventKind.SITE_CRASH)
+        assert crash.txn_id == TARGET
+        stalled_prefix = stalled.as_dicts(until=crash.time)
+        healthy_prefix = healthy.as_dicts(until=crash.time)
+        assert len(stalled_prefix) > 500, "prefix too short to be meaningful"
+        assert stalled_prefix == healthy_prefix
+        # ... and the streams diverge after it: the stalled run records
+        # the stall, the baseline never does.
+        recoveries = stalled.of_kind(EventKind.SITE_RECOVER)
         if protocol in BLOCKING:
-            # Blocking masters must recover to finish their protocol;
-            # a 3PC run can end before the crashed master's timer fires
-            # (its cohorts already terminated without it).
-            assert len(crash_log.of_kind(EventKind.SITE_RECOVER)) == 1
-        assert healthy_log.of_kind(EventKind.SITE_CRASH) == []
+            # Blocking cohorts wait for the master, so the run outlasts
+            # the stall; a 3PC run ends first (its cohorts terminated
+            # without the master).
+            assert len(recoveries) == 1
+        else:
+            assert recoveries == []
+        assert healthy.of_kind(EventKind.SITE_CRASH) == []

@@ -31,6 +31,7 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     FaultTimeouts,
+    RegionPlan,
 )
 from repro.obs import EventLog
 from repro.obs.events import EventKind, event_to_dict
@@ -339,16 +340,17 @@ class TestPresumptionRules:
 
 
 # ----------------------------------------------------------------------
-# Scripted blocking scenarios ride on the same machinery
+# The master-stall blocking scenario rides on the same machinery
 # ----------------------------------------------------------------------
 class TestCrashScenarioIntegration:
     def test_3pc_termination_round_is_network_traffic(self):
-        from repro.failures import run_crash_scenario
         log = EventLog(kinds=(EventKind.MSG_SEND,))
-        run_crash_scenario("3PC", crash_duration_ms=5_000.0,
-                           decision_timeout_ms=500.0,
-                           measured_transactions=150, seed=11,
-                           event_log=log)
+        repro.simulate(
+            "3PC", mpl=4, measured_transactions=150, warmup_transactions=0,
+            seed=11, on_system=lambda system: log.attach(system.bus),
+            faults=FaultConfig(
+                region=RegionPlan.parse("master_stall:40:for=5000"),
+                timeouts=FaultTimeouts(decision_timeout_ms=500.0)))
         inquiries = [e for e in log.events
                      if e.message.kind is MessageKind.STATUS_INQ]
         assert inquiries, (
@@ -356,15 +358,51 @@ class TestCrashScenarioIntegration:
             "round through the network, not burn anonymous CPU")
 
     def test_compare_blocking_accepts_shared_seed(self):
-        from repro.failures import compare_blocking
-        reports = compare_blocking(crash_duration_ms=5_000.0,
-                                   measured_transactions=150,
-                                   protocols=("2PC",), seed=11)
-        again = compare_blocking(crash_duration_ms=5_000.0,
-                                 measured_transactions=150,
-                                 protocols=("2PC",), seed=11)
-        assert dataclasses.asdict(reports["2PC"]) == \
-            dataclasses.asdict(again["2PC"])
+        settings = dict(protocols=("2PC", "3PC"), outages=(5_000.0,),
+                        transactions=150, seed=11)
+        first = run_preset("blocking", **settings)
+        again = run_preset("blocking", **settings)
+        pooled = run_preset("blocking", jobs=2, **settings)
+        for key, point in first.points.items():
+            assert point.readings == again.points[key].readings
+            assert point.readings == pooled.points[key].readings
+            assert point.result == pooled.points[key].result
+
+
+# ----------------------------------------------------------------------
+# Outcome accounting under site crashes
+# ----------------------------------------------------------------------
+def _crash_run(protocol, log_kinds):
+    """Seed 1, mpl 4, MTTF 20 s / MTTR 3 s, 600 txns, no warm-up."""
+    log = EventLog(kinds=log_kinds)
+    result = repro.simulate(
+        protocol, mpl=4, measured_transactions=600, warmup_transactions=0,
+        seed=1, on_system=lambda system: log.attach(system.bus),
+        faults=FaultConfig(mttf_ms=20_000.0, mttr_ms=3_000.0))
+    return result, log
+
+
+class TestCrashOutcomeAccounting:
+    @pytest.mark.parametrize("protocol", ["3PC", "OPT-3PC"])
+    def test_no_incarnation_both_aborted_and_committed(self, protocol):
+        """Regression: a 3PC master whose site crashed during its
+        PRECOMMIT force was counted aborted (and restarted) while
+        recovery read the already-appended precommit record and
+        committed its cohorts."""
+        _, log = _crash_run(protocol, (EventKind.TXN_ABORT,
+                                       EventKind.TXN_RESOLVED_IN_DOUBT))
+        aborted = {(e.txn.txn_id, e.txn.incarnation)
+                   for e in log.of_kind(EventKind.TXN_ABORT)}
+        committed = {(e.cohort.txn.txn_id, e.cohort.txn.incarnation)
+                     for e in log.of_kind(EventKind.TXN_RESOLVED_IN_DOUBT)
+                     if e.outcome == "commit"}
+        assert committed, "environment too mild: nothing resolved in doubt"
+        assert not aborted & committed
+
+    def test_master_lost_to_a_site_crash_is_labelled_site_crash(self):
+        result, _ = _crash_run("2PC", ())
+        assert "surprise_vote" not in result.aborts_by_reason
+        assert result.aborts_by_reason.get("site_crash", 0) > 0
 
 
 # ----------------------------------------------------------------------

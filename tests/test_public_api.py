@@ -102,7 +102,7 @@ class TestRepoConsistency:
         import importlib
         for module_name in (
                 "repro", "repro.config", "repro.metrics", "repro.cli",
-                "repro.failures", "repro.admission", "repro.trace",
+                "repro.admission", "repro.experiments.grid",
                 "repro.sim.engine", "repro.sim.events", "repro.sim.process",
                 "repro.sim.resources", "repro.sim.rng", "repro.sim.stats",
                 "repro.db.locks", "repro.db.deadlock", "repro.db.wal",

@@ -85,6 +85,16 @@ class TestRegionPlanParse:
         assert not directive.is_scheduled
         assert directive.mttf_ms == 60_000.0
 
+    def test_master_stall(self):
+        plan = RegionPlan.parse("master_stall:40:for=3000")
+        (directive,) = plan.directives
+        assert directive == RegionDirective(
+            kind="master_stall", txn=40, for_ms=3000.0)
+        assert directive.dcs() == ()
+        assert plan.describe() == "master_stall txn40 for=3000ms"
+        plan.check_dcs(0)  # names no datacenter: any topology will do
+        repro.build_system("2PC", faults=FaultConfig(region=plan))
+
     def test_multiple_directives(self):
         plan = RegionPlan.parse(COMBINED_PLAN)
         assert [d.kind for d in plan.directives] == \
