@@ -29,6 +29,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
 class LogRecordKind(enum.Enum):
     """Record types written by the implemented protocols."""
 
+    #: Hash by identity (members are singletons): the WAL and metrics
+    #: tally records per kind on every log write.
+    __hash__ = object.__hash__
+
     PREPARE = "prepare"
     COLLECTING = "collecting"     # presumed commit: cohort roster
     PRECOMMIT = "precommit"       # 3PC

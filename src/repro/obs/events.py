@@ -28,6 +28,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
 class EventKind(enum.Enum):
     """Every event kind the simulation can publish."""
 
+    #: Members are singletons, so hash by identity: the emit guard
+    #: (``bus.has_subscribers``) hashes a kind on every hot-path emit,
+    #: and ``Enum.__hash__`` is a Python-level call.
+    __hash__ = object.__hash__
+
     # Transaction lifecycle.
     TXN_SUBMIT = "txn_submit"
     TXN_RESTART = "txn_restart"

@@ -64,7 +64,9 @@ class Process(Event):
     A process *is* an event: it triggers when the generator finishes
     (successfully with its return value, or with the exception that
     escaped it).  Other processes can therefore ``yield`` a process to
-    wait for its completion.
+    wait for its completion.  A process that returns while nothing waits
+    on it is processed on the spot, with no completion entry on the
+    heap; a failure is always scheduled, so ``run`` raises it.
     """
 
     __slots__ = ("_generator", "name", "_target", "_resume")
@@ -141,7 +143,14 @@ class Process(Event):
         except StopIteration as stop:
             self._ok = True
             self._value = stop.value
-            self.env.schedule(self)
+            if self.callbacks:
+                self.env.schedule(self)
+            else:
+                # Nobody is waiting: mark the process processed now
+                # instead of scheduling a completion no callback would
+                # see.  A later ``yield`` of it resumes at once with
+                # its return value.
+                self.callbacks = None
             return
         except BaseException as error:  # noqa: BLE001 - deliberate resurface
             self._ok = False

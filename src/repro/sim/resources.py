@@ -13,6 +13,13 @@ The paper's model needs three kinds of service centers:
 
 All three expose the same ``serve`` coroutine so call sites do not care
 which one they talk to.
+
+Every claim costs one heap entry.  Granting a claim schedules its
+:class:`Request` at the *end* of its service, so a process that serves
+sleeps once, on that entry, and needs no separate grant event or
+:class:`~repro.sim.events.Timeout`.  A free server grants at once; a busy
+one queues the claim and :meth:`Resource.release` grants it when a server
+frees up.
 """
 
 from __future__ import annotations
@@ -20,8 +27,9 @@ from __future__ import annotations
 import collections
 import heapq
 import typing
+from heapq import heappush as _heappush
 
-from repro.sim.events import Event, Timeout
+from repro.sim.events import _PENDING, Event, Timeout
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
@@ -33,17 +41,27 @@ PRIORITY_DATA = 1
 
 
 class Request(Event):
-    """A pending claim on a resource.
+    """A claim on a resource.
 
-    Triggered when the resource grants the claim.  Must be released with
+    Triggered when the resource grants the claim, and processed
+    ``duration`` later: at once for :meth:`Resource.request`, at the end
+    of service for :meth:`Resource.serve`.  ``triggered`` therefore
+    means "holds a server".  Must be released with
     :meth:`Resource.release` (directly or via ``serve``).
     """
 
-    __slots__ = ("priority",)
+    __slots__ = ("priority", "duration")
 
-    def __init__(self, env: "Environment", priority: int = PRIORITY_DATA):
-        super().__init__(env)
+    def __init__(self, env: "Environment", priority: int = PRIORITY_DATA,
+                 duration: float = 0.0) -> None:
+        # Event.__init__ inlined, as in Timeout: one of these per claim.
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self.defused = False
         self.priority = priority
+        self.duration = duration
 
 
 class Resource:
@@ -61,7 +79,8 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_service = 0
-        self._queue: collections.deque[Request] = collections.deque()
+        #: waiting claims; PriorityResource keeps a heap here instead.
+        self._queue: typing.Any = collections.deque()
         # Statistics.
         self._busy_integral = 0.0
         self._queue_integral = 0.0
@@ -73,47 +92,60 @@ class Resource:
     # ------------------------------------------------------------------
     def request(self, priority: int = PRIORITY_DATA) -> Request:
         """Claim a server slot; the returned event triggers when granted."""
-        self._account()
-        req = Request(self.env, priority)
-        if self._in_service < self.capacity:
-            self._in_service += 1
-            req.succeed()
-        else:
-            self._enqueue(req)
-        return req
+        return self._claim(Request(self.env, priority))
 
     def release(self, request: Request) -> None:
-        """Release a previously granted claim."""
+        """Release a claim: free its server, or withdraw it if queued."""
         self._account()
-        if not request.triggered:
+        if request._value is _PENDING:
             # Still waiting: withdraw from the queue (used when an
             # interrupted process abandons its claim).
             self._dequeue(request)
             return
         self._in_service -= 1
         self._served += 1
-        self._grant_next()
+        if self._queue:
+            self._grant(self._pop_next())
 
     def cancel(self, request: Request) -> None:
         """Withdraw an ungranted request (no-op if already granted)."""
         self._account()
-        if not request.triggered:
+        if request._value is _PENDING:
             self._dequeue(request)
 
     def serve(self, duration: float, priority: int = PRIORITY_DATA,
               ) -> typing.Generator[Event, typing.Any, None]:
         """Coroutine: wait for a server, hold it for ``duration``, release.
 
-        If the calling process is interrupted while queued or in service,
-        the claim is cleanly withdrawn/released before the interrupt
-        propagates.
+        The process wakes once, when service ends.  If it is interrupted
+        while queued, the claim is withdrawn; if interrupted in service,
+        the server is freed at the interrupt instant.  Either way this
+        happens before the interrupt propagates.
         """
-        req = self.request(priority)
+        if duration < 0:
+            raise ValueError(f"negative duration {duration}")
+        req = self._claim(Request(self.env, priority, duration))
         try:
             yield req
-            yield Timeout(self.env, duration)
         finally:
             self.release(req)
+
+    def _claim(self, req: Request) -> Request:
+        self._account()
+        if self._in_service < self.capacity:
+            self._grant(req)
+        else:
+            self._enqueue(req)
+        return req
+
+    def _grant(self, req: Request) -> None:
+        """Give ``req`` a server: schedule it ``req.duration`` from now."""
+        self._in_service += 1
+        req._ok = True
+        req._value = None
+        env = self.env
+        env._eid += 1
+        _heappush(env._queue, (env._now + req.duration, env._eid, req))
 
     # ------------------------------------------------------------------
     # Queue discipline (overridden by PriorityResource)
@@ -127,16 +159,8 @@ class Resource:
         except ValueError:
             pass
 
-    def _pop_next(self) -> Request | None:
-        if self._queue:
-            return self._queue.popleft()
-        return None
-
-    def _grant_next(self) -> None:
-        nxt = self._pop_next()
-        if nxt is not None:
-            self._in_service += 1
-            nxt.succeed()
+    def _pop_next(self) -> Request:
+        return self._queue.popleft()
 
     # ------------------------------------------------------------------
     # Statistics
@@ -181,48 +205,31 @@ class PriorityResource(Resource):
     """FCFS within priority class; lower priority value served first.
 
     Used for site CPUs: message processing (priority 0) overtakes queued
-    data processing (priority 1), but service is non-preemptive.
+    data processing (priority 1), but service is non-preemptive.  The
+    queue is a heap of ``(priority, arrival sequence, request)``.
     """
 
     def __init__(self, env: "Environment", capacity: int = 1,
                  name: str = "priority-resource") -> None:
         super().__init__(env, capacity, name)
-        self._pqueue: list[tuple[int, int, Request]] = []
+        self._queue = []
         self._seq = 0
 
     def _enqueue(self, req: Request) -> None:
         self._seq += 1
-        heapq.heappush(self._pqueue, (req.priority, self._seq, req))
+        heapq.heappush(self._queue, (req.priority, self._seq, req))
 
     def _dequeue(self, req: Request) -> None:
-        for i, (_, _, queued) in enumerate(self._pqueue):
+        queue = self._queue
+        for i, (_, _, queued) in enumerate(queue):
             if queued is req:
-                self._pqueue[i] = self._pqueue[-1]
-                self._pqueue.pop()
-                heapq.heapify(self._pqueue)
+                queue[i] = queue[-1]
+                queue.pop()
+                heapq.heapify(queue)
                 return
 
-    def _pop_next(self) -> Request | None:
-        if self._pqueue:
-            return heapq.heappop(self._pqueue)[2]
-        return None
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._pqueue)
-
-    def mean_queue_length(self, elapsed: float) -> float:
-        # _queue_integral in the base class tracks the deque; track the
-        # heap length instead via _account override below.
-        return super().mean_queue_length(elapsed)
-
-    def _account(self) -> None:
-        now = self.env._now
-        dt = now - self._last_change
-        if dt > 0:
-            self._busy_integral += dt * self._in_service
-            self._queue_integral += dt * len(self._pqueue)
-            self._last_change = now
+    def _pop_next(self) -> Request:
+        return heapq.heappop(self._queue)[2]
 
 
 class InfiniteServer:

@@ -1,7 +1,14 @@
 """Unit tests for the event bus: guard semantics, subscription
-lifecycle, dispatch order, and the in-memory EventLog."""
+lifecycle, dispatch order, identity-hashed kinds, and the in-memory
+EventLog."""
+
+import cProfile
+import pickle
+import pstats
 
 import pytest
+
+from repro.db.wal import LogRecordKind
 
 from repro.obs import EventBus, EventLog
 from repro.obs.events import (
@@ -50,6 +57,37 @@ class TestGuardSemantics:
 
     def test_publish_without_subscribers_is_a_noop(self):
         EventBus().publish(_log_write())  # must not raise
+
+
+class TestKindHashing:
+    """EventKind and LogRecordKind hash by identity, so the emit guard
+    and the WAL tallies never call the Python-level Enum.__hash__."""
+
+    @pytest.mark.parametrize("kinds", [EventKind, LogRecordKind])
+    def test_kinds_key_dicts_and_sets_and_survive_pickle(self, kinds):
+        members = list(kinds)
+        table = {kind: kind.value for kind in members}
+        assert [table[kind] for kind in members] == [k.value for k in members]
+        assert len(set(members)) == len(members)
+        for kind in members:
+            clone = pickle.loads(pickle.dumps(kind))
+            assert clone is kind
+            assert table[clone] == kind.value and clone in set(members)
+        assert pickle.loads(pickle.dumps(table)) == table
+        assert pickle.loads(pickle.dumps(frozenset(members))) == \
+            frozenset(members)
+
+    def test_guard_makes_no_python_level_hash_call(self):
+        bus = EventBus()
+        bus.subscribe(EventKind.LOG_WRITE, lambda e: None)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        for kind in EventKind:
+            bus.has_subscribers(kind)
+        profiler.disable()
+        assert not [name for (_file, _line, name)
+                    in pstats.Stats(profiler).stats  # type: ignore[attr-defined]
+                    if name == "__hash__"]
 
 
 class TestDispatch:

@@ -211,3 +211,48 @@ def test_interrupt_during_nested_wait_reaches_outer_generator():
     # by letting the run finish at its natural horizon.
     env.run()
     assert log == ["outer-interrupted"]
+
+
+def test_process_nobody_waits_on_leaves_no_completion_entry():
+    env = Environment()
+
+    def worker(env):
+        yield env.timeout(1.0)
+        return 7
+
+    p = env.process(worker(env))
+    env.run()
+    assert env._eid == 2  # its bootstrap and its timeout, nothing else
+    assert p.processed and p.value == 7
+
+
+def test_later_yield_of_a_finished_process_gets_its_value():
+    env = Environment()
+    got = []
+
+    def worker(env):
+        yield env.timeout(1.0)
+        return "w"
+
+    def late_waiter(env, target):
+        yield env.timeout(5.0)
+        value = yield target
+        got.append((value, env.now))
+
+    w = env.process(worker(env))
+    env.process(late_waiter(env, w))
+    env.run()
+    assert got == [("w", 5.0)]
+
+
+def test_failed_process_nobody_waits_on_still_surfaces_from_run():
+    env = Environment()
+
+    def worker(env):
+        yield env.timeout(1.0)
+        raise ValueError("boom")
+
+    env.process(worker(env))
+    with pytest.raises(ValueError, match="boom"):
+        env.run()
+    assert env._eid == 3  # the failure is scheduled so run() sees it

@@ -234,6 +234,118 @@ def test_utilization_accounting():
     assert disk.utilization(10.0) == pytest.approx(0.5)
 
 
+# ----------------------------------------------------------------------
+# One heap entry per claim.  ``env._eid`` counts every schedule, so the
+# counts below are exact.
+# ----------------------------------------------------------------------
+def test_uncontended_serve_pushes_exactly_one_entry():
+    env = Environment()
+    disk = Resource(env)
+    claim = disk.serve(5.0)
+    before = env._eid
+    request = next(claim)
+    assert env._eid - before == 1
+    # The one entry is the end of service, not a grant at "now".
+    assert [when for when, _, _ in env._queue] == [5.0]
+    assert request.triggered and disk.in_service == 1
+
+
+def test_queued_serve_pushes_one_entry_at_its_grant():
+    env = Environment()
+    disk = Resource(env)
+    log = []
+
+    def job(tag, duration):
+        yield from disk.serve(duration)
+        log.append((tag, env.now))
+
+    env.process(job("a", 10.0))
+    env.process(job("b", 5.0))
+    env.run(until=0.0)
+    # Two bootstraps and a's claim; b waits without a heap entry.
+    assert env._eid == 3
+    assert disk.queue_length == 1
+    env.run(until=10.0)
+    # a's release grants b at once: one entry, for b's end of service
+    # at 10 + 5.  Neither finished process scheduled a completion.
+    assert env._eid == 4
+    assert [when for when, _, _ in env._queue] == [15.0]
+    assert (disk.in_service, disk.queue_length) == (1, 0)
+    env.run()
+    assert log == [("a", 10.0), ("b", 15.0)]
+    assert env._eid == 4
+
+
+def _interrupt_the_victim(jobs):
+    """Claim one disk for each (tag, duration) of ``jobs``, in order at
+    t=0, and interrupt the claim tagged "victim" at t=4."""
+    env = Environment()
+    disk = Resource(env)
+    log = []
+
+    def job(tag, duration):
+        try:
+            yield from disk.serve(duration)
+            log.append((tag, "done", env.now))
+        except Interrupt:
+            log.append((tag, "interrupted", env.now))
+
+    def attacker(victim):
+        yield env.timeout(4.0)
+        victim.interrupt()
+
+    procs = {tag: env.process(job(tag, duration)) for tag, duration in jobs}
+    env.process(attacker(procs["victim"]))
+    env.run()
+    return disk, log
+
+
+def test_claim_interrupted_while_queued_withdraws():
+    disk, log = _interrupt_the_victim(
+        [("holder", 10.0), ("victim", 5.0), ("next", 3.0)])
+    # "next" starts when the holder releases, not when the victim left.
+    assert log == [("victim", "interrupted", 4.0),
+                   ("holder", "done", 10.0), ("next", "done", 13.0)]
+    assert (disk.in_service, disk.queue_length) == (0, 0)
+    assert disk._served == 2  # the withdrawn claim was never served
+
+
+def test_claim_interrupted_in_service_frees_the_server_at_once():
+    disk, log = _interrupt_the_victim([("victim", 100.0), ("next", 3.0)])
+    # The victim frees the disk at t=4 and "next" starts then.
+    assert log == [("victim", "interrupted", 4.0), ("next", "done", 7.0)]
+    assert (disk.in_service, disk.queue_length) == (0, 0)
+    assert disk._served == 2
+
+
+@pytest.mark.parametrize("kind", [Resource, PriorityResource])
+def test_statistics_of_two_jobs(kind):
+    """Job a holds the single server over [0, 4); job b arrives at t=1,
+    queues until 4 and is served over [4, 6).  Over 10 ms the server is
+    busy 6 ms and one claim waits 3 ms."""
+    env = Environment()
+    server = kind(env, capacity=1)
+
+    def job(arrival, duration):
+        yield env.timeout(arrival)
+        yield from server.serve(duration)
+
+    env.process(job(0.0, 4.0))
+    env.process(job(1.0, 2.0))
+    env.run(until=10.0)
+    assert server.utilization(10.0) == pytest.approx(0.6)
+    assert server.mean_queue_length(10.0) == pytest.approx(0.3)
+    assert server._served == 2
+
+
+def test_serve_rejects_a_negative_duration():
+    env = Environment()
+    disk = Resource(env)
+    with pytest.raises(ValueError):
+        next(disk.serve(-1.0))
+    assert (disk.in_service, env._eid) == (0, 0)
+
+
 def test_infinite_server_never_queues():
     env = Environment()
     server = InfiniteServer(env)
