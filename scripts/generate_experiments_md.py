@@ -252,10 +252,10 @@ COMMENTARY: dict[str, tuple[str, str, str]] = {
         "multiplies RTT into latency (docs/MODEL.md, \"Topology & "
         "network cost model\").  At rtt=40 ms with cohorts spread "
         "across 2 DCs, PC and OPT commit faster than 2PC and 3PC is "
-        "strictly worst (PC ≈ 963 ms < OPT ≈ 971 ms < 2PC ≈ 1041 ms "
-        "< 3PC ≈ 1141 ms at MPL 2) because the ordering now follows "
-        "each protocol's serialized cross-DC round trips (PC ≈ 3.0, "
-        "2PC ≈ 3.5, 3PC ≈ 4.9); preferring same-DC cohorts "
+        "strictly worst (PC ≈ 962 ms < OPT ≈ 972 ms < 2PC ≈ 983 ms "
+        "< 3PC ≈ 1160 ms at MPL 2) because the ordering now follows "
+        "each protocol's serialized cross-DC round trips (PC ≈ 2.9, "
+        "2PC ≈ 3.3, 3PC ≈ 4.6); preferring same-DC cohorts "
         "(`--local-cohorts`) moves commit traffic off the expensive "
         "links entirely.  The fault injector stacks on top of the "
         "topology (injected delay/loss add to the healthy wire's; "
