@@ -281,12 +281,15 @@ def bench_open_saturation_point(transactions: int, repeats: int) -> dict:
 
 
 def _inactive_plane(transactions: int, repeats: int, plain: dict,
-                    inactive: dict, what: str) -> dict:
+                    inactive: dict, what: str, extra_events: int) -> dict:
     """Wall-clock cost of one plane when it is present but inactive.
 
     Runs the identical seeded 2PC workload with the ``plain`` and the
     ``inactive`` simulate arguments.  The two must be byte-identical
-    (asserted); the smoke gate pins the wall-clock ratio.
+    (asserted), and the inactive run must schedule exactly
+    ``extra_events`` more kernel events than the plain one: a dormant
+    plane does no other kernel work, and the count has no noise to
+    allow for.  The smoke gate pins the wall-clock ratio.
 
     The ratio is the MEDIAN of adjacent plain/inactive pairs: the two
     halves of a pair sit next to each other in time, so a throttling
@@ -300,14 +303,22 @@ def _inactive_plane(transactions: int, repeats: int, plain: dict,
 
     import repro
 
-    def run(kwargs):
+    def run(kwargs, on_system=None):
         return repro.simulate("2PC", measured_transactions=transactions,
                               mpl=2, warmup_transactions=0, seed=1,
-                              **kwargs)
+                              on_system=on_system, **kwargs)
 
-    assert (json.dumps(dataclasses.asdict(run(plain)))
-            == json.dumps(dataclasses.asdict(run(inactive)))), \
+    systems: list = []
+    plain_result = run(plain, systems.append)
+    inactive_result = run(inactive, systems.append)
+    assert (json.dumps(dataclasses.asdict(plain_result))
+            == json.dumps(dataclasses.asdict(inactive_result))), \
         f"{what} perturbed the trajectory"
+    # env._eid counts every event the kernel scheduled.
+    plain_events, events = (system.env._eid for system in systems)
+    if events - plain_events != extra_events:
+        raise RuntimeError(f"{what} scheduled {events - plain_events} extra "
+                           f"kernel events, expected exactly {extra_events}")
     plain_wall = inactive_wall = float("inf")
     ratios = []
     for _ in range(max(repeats, 5)):
@@ -322,6 +333,8 @@ def _inactive_plane(transactions: int, repeats: int, plain: dict,
         ratios.append(inactive_s / plain_s)
     return {"wall_s": inactive_wall, "plain_wall_s": plain_wall,
             "txns": transactions,
+            "plain_events": plain_events, "events": events,
+            "extra_events": events - plain_events,
             "overhead_ratio": statistics.median(ratios)}
 
 
@@ -339,6 +352,10 @@ def bench_inactive_planes(transactions: int, repeats: int) -> dict:
       every remote send -- only the plan differs;
     - ``replication_overhead``: the historical PageDirectory vs
       replication factor 1 (a ReplicaDirectory of one-site replica sets).
+
+    Each row also records the plane's extra kernel events, asserted
+    exactly: 0, except 2 for the far-future region plan (its driver's
+    start and its ``at=1e9`` timer).
     """
     import dataclasses
 
@@ -353,17 +370,17 @@ def bench_inactive_planes(transactions: int, repeats: int) -> dict:
     planes = {
         "fault_overhead": (
             {"faults": None}, {"faults": FaultConfig()},
-            "inactive FaultConfig"),
+            "inactive FaultConfig", 0),
         "cost_model_overhead": (
             {"network_topology": None},
             {"network_topology": repro.NetworkTopology.parse("uniform")},
-            "uniform topology"),
+            "uniform topology", 0),
         "partition_overhead": (
             {**dcs, "faults": armed}, {**dcs, "faults": planned},
-            "inactive region plan"),
+            "inactive region plan", 2),
         "replication_overhead": (
             {"replication": None}, {"replication": repro.ReplicationSpec(1)},
-            "replication factor 1"),
+            "replication factor 1", 0),
     }
     return {key: _inactive_plane(transactions, repeats, *plane)
             for key, plane in planes.items()}
@@ -541,7 +558,8 @@ def main(argv=None) -> int:
             detail = (f"{row[rate_key]:12,.0f} "
                       f"{rate_key.replace('_per_sec', '')}/s")
         else:
-            detail = f"{row['overhead_ratio']:12.3f} x plain"
+            detail = (f"{row['overhead_ratio']:12.3f} x plain, "
+                      f"+{row['extra_events']} events")
         print(f"  {name:<20} {row['wall_s'] * 1e3:8.1f} ms   {detail}")
 
     print("== soak memory benchmark (flat-RSS gate) ==")
