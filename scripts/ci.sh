@@ -28,6 +28,24 @@ echo "== replication smoke (quorum commit over replicated pages) =="
 python -m repro.cli replication --protocols 2PC,PAXOS --factors 1,2 \
     --mttfs 0 --transactions 30 --quiet
 
+# Serial equals parallel at the CLI: the same stdout at --jobs 1 and
+# --jobs 2, minus the wall-time line.  Tier-2 checks the library at more
+# workers; this check runs on every change.
+echo "== serial vs parallel CLI stdout (--jobs 1 == --jobs 2) =="
+same_stdout_at_jobs_1_and_2() {
+    local jobs dir
+    dir="$(mktemp -d)"
+    for jobs in 1 2; do
+        python -m repro.cli "$@" --jobs "$jobs" \
+            | grep -v '^(completed in' > "$dir/$jobs"
+    done
+    diff "$dir/1" "$dir/2"
+    rm -r "$dir"
+}
+same_stdout_at_jobs_1_and_2 run E7 --mpls 1,2 --transactions 20 \
+    --replications 2 --quiet
+same_stdout_at_jobs_1_and_2 tables --transactions 30
+
 if [ "${CI_SKIP_TIER2:-0}" != "1" ]; then
     echo "== tier-2: slow sweep / parallel determinism tests =="
     python -m pytest -q -m tier2

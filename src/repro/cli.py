@@ -478,7 +478,11 @@ def cmd_list(out: typing.TextIO) -> int:
 
 
 def cmd_run(args: argparse.Namespace, out: typing.TextIO) -> int:
-    definition = get_experiment(args.experiment)
+    try:
+        definition = get_experiment(args.experiment)
+    except KeyError as error:
+        out.write(f"error: {error.args[0]}\n")
+        return 2
     if args.events_out is not None and resolve_jobs(args.jobs) != 1:
         out.write("error: --events-out requires --jobs 1\n")
         return 2
@@ -486,27 +490,29 @@ def cmd_run(args: argparse.Namespace, out: typing.TextIO) -> int:
         out.write("error: --events-out requires fixed replications "
                   "(drop --target-ci)\n")
         return 2
-    try:
-        overrides = _open_overrides(args)
-    except ValueError as error:
-        out.write(f"error: {error}\n")
-        return 2
-    if overrides:
-        base_factory = definition.params_factory
-        definition = dataclasses.replace(
-            definition,
-            params_factory=lambda mpl, _base=base_factory:
-                _base(mpl).replace(**overrides))
     progress = None if args.quiet else (
         lambda text: out.write(f"  ... {text}\n"))
     started = time.time()
-    results = definition.run(measured_transactions=args.transactions,
-                             mpls=args.mpls,
-                             replications=args.replications,
-                             progress=progress,
-                             jobs=resolve_jobs(args.jobs),
-                             events_out=args.events_out,
-                             target_ci=args.target_ci)
+    try:
+        overrides = _open_overrides(args)
+        if overrides:
+            base_factory = definition.params_factory
+            definition = dataclasses.replace(
+                definition,
+                params_factory=lambda mpl, _base=base_factory:
+                    _base(mpl).replace(**overrides))
+        # Every spec is built before the first point runs, so bad input
+        # fails here without output.
+        results = definition.run(measured_transactions=args.transactions,
+                                 mpls=args.mpls,
+                                 replications=args.replications,
+                                 progress=progress,
+                                 jobs=resolve_jobs(args.jobs),
+                                 events_out=args.events_out,
+                                 target_ci=args.target_ci)
+    except ValueError as error:
+        out.write(f"error: {error}\n")
+        return 2
     out.write(results.summary() + "\n")
     if args.target_ci is not None:
         out.write(f"adaptive replication: "
@@ -530,10 +536,15 @@ def cmd_run(args: argparse.Namespace, out: typing.TextIO) -> int:
 
 def cmd_tables(args: argparse.Namespace, out: typing.TextIO) -> int:
     jobs = resolve_jobs(args.jobs)
-    out.write(render_table(3, 6, transactions=args.transactions,
-                           jobs=jobs, target_ci=args.target_ci) + "\n\n")
-    out.write(render_table(6, 3, transactions=args.transactions,
-                           jobs=jobs, target_ci=args.target_ci) + "\n")
+    try:
+        out.write(render_table(3, 6, transactions=args.transactions,
+                               jobs=jobs, target_ci=args.target_ci)
+                  + "\n\n")
+        out.write(render_table(6, 3, transactions=args.transactions,
+                               jobs=jobs, target_ci=args.target_ci) + "\n")
+    except ValueError as error:
+        out.write(f"error: {error}\n")
+        return 2
     return 0
 
 

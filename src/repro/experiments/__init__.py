@@ -1,12 +1,14 @@
-"""The paper's experiment suite (Section 5), one module per experiment.
+"""The paper's experiment suite (Section 5) and the extension studies.
 
-Each experiment module exposes an :data:`EXPERIMENT` definition mapping
-a paper artifact (table or figure) to a parameter sweep; the shared
-runner in :mod:`repro.experiments.base` executes sweeps and collects
-series; the extension studies are presets of
-:mod:`repro.experiments.grid`.  ``python -m repro.cli`` runs them from
-the command line; the ``benchmarks/`` directory wraps them for
-pytest-benchmark.
+:mod:`repro.experiments.definitions` binds each paper figure to a
+protocol x MPL :class:`MplSweep` (:mod:`repro.experiments.base`), and
+:mod:`repro.experiments.overheads` measures Tables 3/4 as one-MPL
+sweeps; the extension studies are presets of
+:mod:`repro.experiments.grid`.  All of them run their simulations
+through :class:`ParallelSweepRunner` (:mod:`repro.experiments.runner`),
+in-process at ``jobs=1`` or on the warm shared pool.
+``python -m repro.cli`` runs them from the command line; the
+``benchmarks/`` directory wraps them for pytest-benchmark.
 """
 
 from repro.experiments.base import (
@@ -25,8 +27,6 @@ from repro.experiments.registry import (
 from repro.experiments.runner import (
     ParallelSweepRunner,
     PointSpec,
-    PointSummary,
-    SweepCounts,
     SweepWorkerError,
     point_seed,
     resolve_jobs,
@@ -41,8 +41,6 @@ __all__ = [
     "PRESETS",
     "ParallelSweepRunner",
     "PointSpec",
-    "PointSummary",
-    "SweepCounts",
     "SweepPoint",
     "SweepWorkerError",
     "experiment_ids",

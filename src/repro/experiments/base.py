@@ -16,16 +16,17 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-import repro
 from repro.config import ModelParams
 from repro.db.system import SimulationResult
 from repro.experiments.runner import (
     ParallelSweepRunner,
     PointSpec,
-    PointSummary,
     point_seed,
 )
 from repro.sim.stats import StoppingRule, confidence_interval
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.db.system import DistributedSystem
 
 #: Replication cap in adaptive (``target_ci``) mode when the caller
 #: left ``replications`` at its fixed-mode default of 1.
@@ -50,20 +51,15 @@ DEFAULT_MPLS: tuple[int, ...] = (1, 2, 3, 4, 6, 8, 10)
 
 @dataclasses.dataclass
 class SweepPoint:
-    """One (protocol, mpl) grid point, possibly replicated.
-
-    ``results`` holds full :class:`SimulationResult` objects on the
-    default paths, or lean :class:`PointSummary` objects when the sweep
-    ran with the compact wire format (adaptive mode, ``lean=True``) --
-    both expose the metric attributes :data:`METRICS` reads.
-    """
+    """One (protocol, mpl) grid point: its replications' results, in
+    rep order."""
 
     protocol: str
     mpl: int
-    results: list[SimulationResult | PointSummary]
+    results: list[SimulationResult]
 
     @property
-    def result(self) -> SimulationResult | PointSummary:
+    def result(self) -> SimulationResult:
         """The first (or only) replication's result."""
         return self.results[0]
 
@@ -148,6 +144,8 @@ class MplSweep:
                  base_seed: int = 20250705) -> None:
         if replications < 1:
             raise ValueError("replications must be >= 1")
+        if measured_transactions < 1:
+            raise ValueError("measured_transactions must be >= 1")
         self.protocols = tuple(protocols)
         self.params_factory = params_factory
         self.mpls = tuple(mpls)
@@ -156,43 +154,20 @@ class MplSweep:
         self.replications = replications
         self.base_seed = base_seed
 
-    def run_point(self, protocol: str, mpl: int,
-                  on_system: typing.Callable[..., None] | None = None,
-                  ) -> SweepPoint:
-        """Run all replications of one grid point.
-
-        ``on_system(system, protocol=..., mpl=..., rep=...)`` is invoked
-        per replication, before it runs -- the hook for attaching
-        observers to the system's event bus.
-        """
-        params = self.params_factory(mpl)
-        results = []
-        for rep in range(self.replications):
-            results.append(repro.simulate(
-                protocol, params=params,
-                measured_transactions=self.measured_transactions,
-                warmup_transactions=self.warmup_transactions,
-                seed=point_seed(self.base_seed, rep),
-                on_system=(None if on_system is None else
-                           (lambda system, _rep=rep: on_system(
-                               system, protocol=protocol, mpl=mpl,
-                               rep=_rep)))))
-        return SweepPoint(protocol, mpl, results)
+    def spec(self, protocol: str, mpl: int, rep: int) -> PointSpec:
+        """Replication ``rep`` of grid point ``(protocol, mpl)``, seeded
+        ``base_seed + rep * 7919``."""
+        return PointSpec(protocol=protocol, mpl=mpl, rep=rep,
+                         params=self.params_factory(mpl),
+                         measured_transactions=self.measured_transactions,
+                         warmup_transactions=self.warmup_transactions,
+                         seed=point_seed(self.base_seed, rep))
 
     def point_specs(self) -> list[PointSpec]:
         """The whole grid as picklable specs, in (protocol, mpl, rep)
-        order -- the exact inputs (seeds included) the serial path uses."""
-        specs = []
-        for protocol in self.protocols:
-            for mpl in self.mpls:
-                params = self.params_factory(mpl)
-                for rep in range(self.replications):
-                    specs.append(PointSpec(
-                        protocol=protocol, mpl=mpl, rep=rep, params=params,
-                        measured_transactions=self.measured_transactions,
-                        warmup_transactions=self.warmup_transactions,
-                        seed=point_seed(self.base_seed, rep)))
-        return specs
+        order."""
+        return [self.spec(protocol, mpl, rep) for protocol in self.protocols
+                for mpl in self.mpls for rep in range(self.replications)]
 
     def run(self, experiment_id: str = "sweep",
             title: str = "",
@@ -200,147 +175,74 @@ class MplSweep:
             jobs: int = 1,
             events_out: str | None = None,
             target_ci: float | None = None,
-            ci_metric: str = "throughput",
-            ci_confidence: float = 0.90,
-            lean: bool = False,
             ) -> ExperimentResults:
-        """Run the whole grid.
+        """Run the whole grid through :class:`ParallelSweepRunner`.
 
-        ``jobs=1`` runs in-process (the historical path); ``jobs>1``
-        fans the grid out over that many processes of the warm shared
-        pool.  Results are identical either way -- each point's seed is
-        fixed by ``(base_seed, rep)``, not by execution order -- and
-        progress fires as each point *completes* on both paths.
+        ``jobs=1`` runs in-process; ``jobs>1`` fans the grid out over
+        that many processes of the warm shared pool.  Results are
+        identical either way -- each point's seed is fixed by
+        ``(base_seed, rep)``, not by execution order -- and progress
+        fires as each replication *completes* on both paths.
 
         ``target_ci`` switches to adaptive replication: each point runs
-        waves of replications (seeds continue the serial
-        ``base_seed + rep * 7919`` scheme) until its ``ci_confidence``
-        CI relative half-width on ``ci_metric`` drops to ``target_ci``,
-        up to a cap of ``replications`` (or ``DEFAULT_ADAPTIVE_CAP``
-        when ``replications`` was left at 1).  Adaptive results ship as
-        lean :class:`PointSummary` objects.
-
-        ``lean`` ships compact summaries instead of full results on the
-        parallel fixed-rep path too (cheaper IPC for big grids; the
-        default keeps full results, which the golden byte-identity
-        contract pins).
+        waves of replications (seeds continue the
+        ``base_seed + rep * 7919`` scheme) until the 90% CI relative
+        half-width of its throughput drops to ``target_ci``, up to a cap
+        of ``replications`` (or ``DEFAULT_ADAPTIVE_CAP`` when
+        ``replications`` was left at 1).
 
         ``events_out`` streams every simulation event of every point to
         a JSONL file (one ``{"meta": ...}`` line per point, then its
-        events); it requires the serial fixed-replication path
-        (``jobs=1``, no ``target_ci``).
+        events); it requires the fixed-replication path at ``jobs=1``.
         """
         if events_out is not None and jobs != 1:
             raise ValueError("events_out requires jobs=1 (events are "
                              "interleaved per point, in grid order)")
-        if target_ci is not None:
-            if events_out is not None:
-                raise ValueError("events_out requires fixed replications "
-                                 "(target_ci changes how many reps run)")
-            return self._run_adaptive(experiment_id, title, progress,
-                                      jobs, target_ci, ci_metric,
-                                      ci_confidence)
-        grid_points = (len(self.protocols) * len(self.mpls)
-                       * self.replications)
-        total_txns = grid_points * self.measured_transactions
-        points: dict[tuple[str, int], SweepPoint] = {}
-        if jobs == 1:
-            exporter = None
-            on_system = None
-            if events_out is not None:
-                from repro.obs.export import JsonlExporter
-                exporter = JsonlExporter.open(events_out)
-
-                def on_system(system, protocol, mpl, rep,
-                              _exporter=exporter):
-                    _exporter.detach()
-                    _exporter.meta(experiment=experiment_id,
-                                   protocol=protocol, mpl=mpl, rep=rep,
-                                   seed=point_seed(self.base_seed, rep))
-                    _exporter.attach(system.bus)
-            try:
-                for protocol in self.protocols:
-                    for mpl in self.mpls:
-                        points[(protocol, mpl)] = self.run_point(
-                            protocol, mpl, on_system=on_system)
-                        if progress is not None:
-                            progress(
-                                f"{experiment_id}: {protocol} @ MPL {mpl}")
-            finally:
-                if exporter is not None:
-                    exporter.close()
-            return ExperimentResults(
-                experiment_id, title, points, self.protocols, self.mpls,
-                total_measured_transactions=total_txns)
-
-        specs = self.point_specs()
-        runner = ParallelSweepRunner(
-            jobs=jobs,
-            progress=(None if progress is None else
-                      (lambda label: progress(f"{experiment_id}: {label}"))))
-        results = runner.run(specs, lean=lean)
-        for spec, result in zip(specs, results):
-            key = (spec.protocol, spec.mpl)
-            if key not in points:
-                points[key] = SweepPoint(spec.protocol, spec.mpl, [])
-            points[key].results.append(result)
-        return ExperimentResults(
-            experiment_id, title, points, self.protocols, self.mpls,
-            total_measured_transactions=total_txns)
-
-    # ------------------------------------------------------------------
-    def _run_adaptive(self, experiment_id: str, title: str,
-                      progress: typing.Callable[[str], None] | None,
-                      jobs: int, target_ci: float, ci_metric: str,
-                      ci_confidence: float) -> ExperimentResults:
-        """Wave-based adaptive replication (CI-driven early stopping).
-
-        Every wave gathers the next batch of replications for every
-        still-unsettled point into one spec list and runs it through the
-        (possibly parallel) runner with the lean wire format, so a wave
-        costs one dispatch round regardless of how many points are
-        still converging.
-        """
-        metric_fn = METRICS[ci_metric]
-        cap = (self.replications if self.replications > 1
-               else DEFAULT_ADAPTIVE_CAP)
+        if events_out is not None and target_ci is not None:
+            raise ValueError("events_out requires fixed replications "
+                             "(target_ci changes how many reps run)")
         runner = ParallelSweepRunner(
             jobs=jobs,
             progress=(None if progress is None else
                       (lambda label: progress(f"{experiment_id}: {label}"))))
         keys = [(protocol, mpl) for protocol in self.protocols
                 for mpl in self.mpls]
-        params = {key: self.params_factory(key[1]) for key in keys}
-        # cap >= 2 always: replications=1 bumps to the adaptive default.
-        rules = {key: StoppingRule(target_ci, confidence=ci_confidence,
-                                   min_replications=2,
-                                   max_replications=cap)
-                 for key in keys}
-        points = {key: SweepPoint(key[0], key[1], []) for key in keys}
-        reps_done = dict.fromkeys(keys, 0)
-        total_txns = 0
-        while True:
-            wave: list[PointSpec] = []
-            for key in keys:
-                for rep in range(reps_done[key],
-                                 reps_done[key] + rules[key].next_wave()):
-                    wave.append(PointSpec(
-                        protocol=key[0], mpl=key[1], rep=rep,
-                        params=params[key],
-                        measured_transactions=self.measured_transactions,
-                        warmup_transactions=self.warmup_transactions,
-                        seed=point_seed(self.base_seed, rep)))
-            if not wave:
-                break
-            for spec, summary in zip(wave, runner.run(wave, lean=True)):
-                key = (spec.protocol, spec.mpl)
-                points[key].results.append(summary)
-                rules[key].observe(metric_fn(summary))
-                reps_done[key] += 1
-                total_txns += spec.measured_transactions
+        if target_ci is None:
+            specs = self.point_specs()
+            if events_out is None:
+                outputs = runner.run(specs)
+            else:
+                from repro.obs.export import JsonlExporter
+                with JsonlExporter.open(events_out) as exporter:
+                    def export(system: "DistributedSystem",
+                               spec: PointSpec) -> None:
+                        exporter.detach()
+                        exporter.meta(experiment=experiment_id,
+                                      protocol=spec.protocol, mpl=spec.mpl,
+                                      rep=spec.rep, seed=spec.seed)
+                        exporter.attach(system.bus)
+                    outputs = runner.run(specs, on_system=export)
+            results: dict[tuple[str, int], list[SimulationResult]] = {
+                key: [] for key in keys}
+            for spec, result in zip(specs, outputs):
+                results[(spec.protocol, spec.mpl)].append(result)
+        else:
+            # cap >= 2 always: replications=1 bumps to the adaptive default.
+            cap = (self.replications if self.replications > 1
+                   else DEFAULT_ADAPTIVE_CAP)
+            results = runner.run_adaptive(
+                lambda key, rep: self.spec(*key, rep),
+                {key: (StoppingRule(target_ci, min_replications=2,
+                                    max_replications=cap),)
+                 for key in keys},
+                lambda result: (result.throughput,))
         return ExperimentResults(
-            experiment_id, title, points, self.protocols, self.mpls,
-            total_measured_transactions=total_txns, target_ci=target_ci)
+            experiment_id, title,
+            {key: SweepPoint(*key, results[key]) for key in keys},
+            self.protocols, self.mpls,
+            total_measured_transactions=self.measured_transactions * sum(
+                map(len, results.values())),
+            target_ci=target_ci)
 
 
 @dataclasses.dataclass
@@ -376,10 +278,9 @@ class ExperimentDefinition:
             jobs: int = 1,
             events_out: str | None = None,
             target_ci: float | None = None,
-            lean: bool = False,
             ) -> ExperimentResults:
         sweep = self.sweep(measured_transactions=measured_transactions,
                            mpls=mpls, replications=replications)
         return sweep.run(self.experiment_id, self.title, progress=progress,
                          jobs=jobs, events_out=events_out,
-                         target_ci=target_ci, lean=lean)
+                         target_ci=target_ci)

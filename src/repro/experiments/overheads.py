@@ -3,8 +3,10 @@
 The paper tabulates, per committing transaction, the number of
 execution-phase messages, forced log writes, and commit-phase messages,
 at ``DistDegree`` 3 (Table 3) and 6 (Table 4).  Here both the *analytic*
-counts (closed forms below) and *measured* counts (from abort-free
-simulation runs) are produced; the benchmark asserts they agree.
+counts (closed forms below) and *measured* counts are produced; the
+benchmark asserts they agree.  The measured rows come from abort-free
+runs at MPL 1, one per protocol, run as a one-MPL
+:class:`~repro.experiments.base.MplSweep`.
 
 Closed forms, with ``D`` = DistDegree (so ``D - 1`` remote cohorts,
 ``r = D - 1``):
@@ -28,8 +30,11 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-import repro
 from repro.config import ModelParams
+from repro.db.system import SimulationResult
+from repro.experiments.base import DEFAULT_ADAPTIVE_CAP, MplSweep
+from repro.experiments.runner import ParallelSweepRunner
+from repro.sim.stats import StoppingRule
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,39 +81,52 @@ def expected_overheads(protocol: str, dist_degree: int) -> OverheadRow:
 MEASURE_SEED = 20250705
 
 
-def measure_overheads(protocol: str, dist_degree: int, cohort_size: int,
-                      transactions: int = 60,
-                      seed: int = MEASURE_SEED) -> OverheadRow:
-    """Measured overheads from a conflict-free simulation run."""
-    params = ModelParams(num_sites=8, db_size=48000, mpl=1,
-                         dist_degree=dist_degree, cohort_size=cohort_size)
-    result = repro.simulate(protocol, params=params,
-                            measured_transactions=transactions,
-                            warmup_transactions=10, seed=seed)
+def _overheads(result: SimulationResult) -> tuple[float, float, float]:
+    """A run's per-committing-transaction overheads; the run must have
+    been abort-free."""
     if result.aborted:
         raise RuntimeError(
             "overhead measurement expected an abort-free run; got "
             f"{result.aborted} aborts")
-    exec_msgs, forced, commit_msgs = result.overheads.rounded()
-    return OverheadRow(protocol, exec_msgs, forced, commit_msgs)
+    return result.overheads.rounded()
 
 
-def _measure_row(spec: tuple[str, int, int, int, int]) -> OverheadRow:
-    """Worker entry point for parallel table measurement (module-level
-    so it pickles by reference)."""
-    protocol, dist_degree, cohort_size, transactions, seed = spec
-    return measure_overheads(protocol, dist_degree, cohort_size,
-                             transactions=transactions, seed=seed)
+def _measure(protocols: typing.Sequence[str], dist_degree: int,
+             cohort_size: int, transactions: int, jobs: int,
+             target_ci: float | None) -> list[OverheadRow]:
+    """Measured rows from conflict-free runs, as a one-MPL sweep; with
+    ``target_ci``, each row replicates until its three overhead rules
+    settle."""
+    def params(mpl: int) -> ModelParams:
+        return ModelParams(num_sites=8, db_size=48000, mpl=mpl,
+                           dist_degree=dist_degree, cohort_size=cohort_size)
+
+    sweep = MplSweep(protocols, params, mpls=(1,),
+                     measured_transactions=transactions,
+                     warmup_transactions=10, base_seed=MEASURE_SEED)
+    if target_ci is None:
+        results = sweep.run(jobs=jobs)
+        return [OverheadRow(protocol,
+                            *_overheads(results.point(protocol, 1).result))
+                for protocol in protocols]
+    rules = {protocol: tuple(StoppingRule(
+        target_ci, min_replications=2,
+        max_replications=DEFAULT_ADAPTIVE_CAP) for _ in range(3))
+        for protocol in protocols}
+    ParallelSweepRunner(jobs=jobs).run_adaptive(
+        lambda protocol, rep: sweep.spec(protocol, 1, rep), rules,
+        _overheads)
+    return [OverheadRow(protocol, *(rule.interval()[0]
+                                    for rule in rules[protocol]))
+            for protocol in protocols]
 
 
-def _measure_rows(specs: list[tuple[str, int, int, int, int]],
-                  jobs: int) -> list[OverheadRow]:
-    """Run measurement specs, through the warm shared pool if asked."""
-    if jobs > 1 and len(specs) > 1:
-        from repro.experiments.pool import get_pool
-        pool = get_pool(min(jobs, len(specs)))
-        return list(pool.map(_measure_row, specs))
-    return [_measure_row(spec) for spec in specs]
+def measure_overheads(protocol: str, dist_degree: int, cohort_size: int,
+                      transactions: int = 60) -> OverheadRow:
+    """Measured overheads from a conflict-free simulation run."""
+    (row,) = _measure((protocol,), dist_degree, cohort_size, transactions,
+                      jobs=1, target_ci=None)
+    return row
 
 
 def build_table(dist_degree: int, cohort_size: int,
@@ -120,9 +138,10 @@ def build_table(dist_degree: int, cohort_size: int,
                 ) -> list[tuple[OverheadRow, OverheadRow]]:
     """[(expected, measured), ...] rows of Table 3 (D=3) or 4 (D=6).
 
-    ``jobs > 1`` measures the per-protocol rows on the warm shared
-    worker pool; each row is an independent simulation with a fixed
-    seed, so the table is identical to the serial one.
+    The measured rows run as a one-MPL :class:`MplSweep`, so ``jobs > 1``
+    measures them on the warm shared worker pool; each row is an
+    independent simulation with a fixed seed, so the table is identical
+    to the serial one.
 
     ``target_ci`` replicates each row's measurement with fresh seeds
     until all three overhead means reach that 90%-CI relative
@@ -135,47 +154,9 @@ def build_table(dist_degree: int, cohort_size: int,
                      for protocol in protocols]
     if not measured:
         return [(expected, expected) for expected in expected_rows]
-    if target_ci is not None:
-        return list(zip(expected_rows,
-                        _measure_adaptive(list(protocols), dist_degree,
-                                          cohort_size, transactions,
-                                          jobs, target_ci)))
-    specs = [(protocol, dist_degree, cohort_size, transactions,
-              MEASURE_SEED)
-             for protocol in protocols]
-    return list(zip(expected_rows, _measure_rows(specs, jobs)))
-
-
-def _measure_adaptive(protocols: list[str], dist_degree: int,
-                      cohort_size: int, transactions: int, jobs: int,
-                      target_ci: float) -> list[OverheadRow]:
-    """CI-driven replication of the measured rows (mean per metric)."""
-    from repro.experiments.runner import point_seed
-    from repro.sim.stats import StoppingRule
-
-    def fresh_rules():
-        return tuple(StoppingRule(target_ci, min_replications=2,
-                                  max_replications=8) for _ in range(3))
-
-    rules = {protocol: fresh_rules() for protocol in protocols}
-    reps_done = dict.fromkeys(protocols, 0)
-    while True:
-        wave: list[tuple[str, int, int, int, int]] = []
-        for protocol in protocols:
-            pending = max(rule.next_wave() for rule in rules[protocol])
-            for rep in range(reps_done[protocol],
-                             reps_done[protocol] + pending):
-                wave.append((protocol, dist_degree, cohort_size,
-                             transactions, point_seed(MEASURE_SEED, rep)))
-        if not wave:
-            break
-        for spec, row in zip(wave, _measure_rows(wave, jobs)):
-            for rule, value in zip(rules[spec[0]], row.as_tuple()):
-                rule.observe(value)
-            reps_done[spec[0]] += 1
-    return [OverheadRow(protocol, *(rule.interval()[0]
-                                    for rule in rules[protocol]))
-            for protocol in protocols]
+    return list(zip(expected_rows,
+                    _measure(protocols, dist_degree, cohort_size,
+                             transactions, jobs, target_ci)))
 
 
 def render_table(dist_degree: int, cohort_size: int,

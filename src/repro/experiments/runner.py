@@ -1,35 +1,27 @@
-"""Parallel execution of experiment grids.
+"""The one way :mod:`repro.experiments` runs simulations.
 
-Every point of a paper figure -- one (protocol, MPL, replication)
-triple -- is an independent simulation with its own
+Every point of a paper figure or table -- one (protocol, MPL,
+replication) triple -- and every point of an extension preset is an
+independent simulation with its own
 :class:`~repro.sim.engine.Environment` and its own deterministic seed,
-so the grid is embarrassingly parallel.  This module fans it out over
-the *warm* shared process pool (:mod:`repro.experiments.pool`),
-amortizing worker startup across every sweep of a CLI invocation, and
-groups specs into per-worker **chunks** so one IPC round dispatches
-many replications at once.
+so a grid is embarrassingly parallel.  :class:`ParallelSweepRunner`
+runs a list of :class:`PointSpec`: ``jobs=1`` runs them in this
+process, in order; ``jobs > 1`` fans them out over the *warm* shared
+process pool (:mod:`repro.experiments.pool`), amortizing worker
+startup across every sweep of a CLI invocation, and groups specs into
+per-worker **chunks** so one IPC round dispatches many replications at
+once.  :meth:`ParallelSweepRunner.run_adaptive` replicates points in
+waves until their stopping rules settle (``--target-ci``).
 
 A spec may also carry a :class:`~repro.faults.FaultConfig` and named
 *probes* (:data:`repro.experiments.grid.PROBES`) that read counters off
 the system in the worker; it then comes back as ``(result, readings)``.
 
 Determinism: parallelism changes *scheduling*, never *inputs*.  Each
-:class:`PointSpec` carries the exact seed the serial path would have
-used (``base_seed + rep * 7919``), the worker runs the same
-``repro.simulate`` call, and results are reassembled in grid order --
-so a parallel sweep is bit-identical to a serial one.
-
-Wire format: by default workers ship the full
-:class:`~repro.db.system.SimulationResult` back (it is a flat dataclass
-of scalars, and the golden byte-identity contract pins every field).
-Callers that only consume the plotted scalars -- big grids, adaptive
-replication -- pass ``lean=True`` and get :class:`PointSummary`
-objects, which duck-type the metric attributes the experiment layer
-reads and keep the return pipe minimal.
-
-The pool is only worth its IPC overhead for real sweeps; ``jobs=1``
-(the default everywhere) never touches the pool module and runs the
-exact pre-existing in-process path.
+:class:`PointSpec` carries its seed (``base_seed + rep * 7919``), both
+paths run it through :func:`run_point_spec`, and results come back in
+spec order -- so a parallel sweep is bit-identical to a serial one.
+Workers ship the full :class:`~repro.db.system.SimulationResult` back.
 """
 
 from __future__ import annotations
@@ -40,9 +32,11 @@ import traceback
 import typing
 
 from repro.config import ModelParams
-from repro.db.system import SimulationResult
 from repro.faults import FaultConfig
-from repro.metrics import ProtocolOverheads
+from repro.sim.stats import StoppingRule
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.db.system import DistributedSystem
 
 #: Multiplier spacing replication seeds (prime, matching the historical
 #: serial behavior -- changing it would invalidate recorded results).
@@ -52,28 +46,15 @@ REPLICATION_SEED_STRIDE = 7919
 #: (both serial and parallel paths -- completion-time semantics).
 ProgressFn = typing.Callable[[str], None]
 
-#: Chunks per worker the auto chunksize aims for: small enough to
-#: amortize dispatch, large enough that stragglers rebalance.
+#: Chunks per worker the chunksize aims for: small enough to amortize
+#: dispatch, large enough that stragglers rebalance.
 _CHUNKS_PER_WORKER = 4
 
+#: Called in this process with each built system and its spec, before
+#: the system runs.
+SystemHook = typing.Callable[["DistributedSystem", "PointSpec"], None]
 
-@dataclasses.dataclass(frozen=True)
-class SweepCounts:
-    """Queue state of a running sweep, for progress displays.
-
-    ``running`` is an upper-bound estimate (the executor does not
-    expose per-task start events): the number of not-yet-finished
-    points that fit in the in-flight chunk windows.
-    """
-
-    queued: int
-    running: int
-    done: int
-    total: int
-
-
-#: Called with a :class:`SweepCounts` whenever ``done`` advances.
-CountsFn = typing.Callable[[SweepCounts], None]
+Key = typing.TypeVar("Key", bound=typing.Hashable)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,49 +86,6 @@ class PointSpec:
         return f"{self.protocol} @ MPL {self.mpl}{rep_suffix}"
 
 
-@dataclasses.dataclass(frozen=True)
-class PointSummary:
-    """The lean wire format: exactly the scalars the experiment layer
-    (``METRICS``, tables, exports) consumes, nothing else.
-
-    Duck-types the :class:`~repro.db.system.SimulationResult` attributes
-    those consumers read, so a :class:`~repro.experiments.base.SweepPoint`
-    can hold either interchangeably.
-    """
-
-    protocol: str
-    mpl: int
-    rep: int
-    committed: int
-    aborted: int
-    elapsed_ms: float
-    throughput: float
-    response_time_ms: float
-    block_ratio: float
-    borrow_ratio: float
-    abort_ratio: float
-    response_ci_rel_half_width: float
-    deadlocks: int
-    shelf_entries: int
-    overheads: ProtocolOverheads
-
-    @classmethod
-    def from_result(cls, spec: "PointSpec",
-                    result: SimulationResult) -> "PointSummary":
-        return cls(
-            protocol=result.protocol, mpl=result.mpl, rep=spec.rep,
-            committed=result.committed, aborted=result.aborted,
-            elapsed_ms=result.elapsed_ms, throughput=result.throughput,
-            response_time_ms=result.response_time_ms,
-            block_ratio=result.block_ratio,
-            borrow_ratio=result.borrow_ratio,
-            abort_ratio=result.abort_ratio,
-            response_ci_rel_half_width=result.response_ci_rel_half_width,
-            deadlocks=result.deadlocks,
-            shelf_entries=result.shelf_entries,
-            overheads=result.overheads)
-
-
 class SweepWorkerError(RuntimeError):
     """A spec raised inside a pool worker.
 
@@ -174,29 +112,33 @@ def point_seed(base_seed: int, rep: int) -> int:
     return base_seed + rep * REPLICATION_SEED_STRIDE
 
 
-def run_point_spec(spec: PointSpec) -> typing.Any:
+def run_point_spec(spec: PointSpec,
+                   on_system: SystemHook | None = None) -> typing.Any:
     """Execute one spec (shared by the serial path and the workers);
-    ``(result, readings)`` when the spec names probes."""
+    ``(result, readings)`` when the spec names probes.
+    ``on_system(system, spec)`` sees the built system before it runs."""
     import repro  # local import: keeps worker startup lazy
     from repro.experiments.grid import PROBES
 
     readers: list[typing.Callable[[], dict[str, typing.Any]]] = []
+
+    def attach(system: "DistributedSystem") -> None:
+        if on_system is not None:
+            on_system(system, spec)
+        readers.extend(PROBES[name](system, spec) for name in spec.probes)
+
     result = repro.simulate(
         spec.protocol, params=spec.params,
         measured_transactions=spec.measured_transactions,
         warmup_transactions=spec.warmup_transactions,
-        seed=spec.seed, faults=spec.faults,
-        on_system=(lambda system: readers.extend(
-            PROBES[name](system, spec) for name in spec.probes))
-        if spec.probes else None)
+        seed=spec.seed, faults=spec.faults, on_system=attach)
     if not spec.probes:
         return result
     return result, {key: value for read in readers
                     for key, value in read().items()}
 
 
-def run_chunk(chunk: typing.Sequence[PointSpec], lean: bool
-              ) -> list[object]:
+def run_chunk(chunk: typing.Sequence[PointSpec]) -> list[object]:
     """Worker entry point: run a whole chunk, one IPC round per chunk.
 
     Must stay module-level so it pickles by reference.  Exceptions are
@@ -207,9 +149,7 @@ def run_chunk(chunk: typing.Sequence[PointSpec], lean: bool
     out: list[object] = []
     for spec in chunk:
         try:
-            result = run_point_spec(spec)
-            out.append(PointSummary.from_result(spec, result) if lean
-                       else result)
+            out.append(run_point_spec(spec))
         except Exception as exc:  # noqa: BLE001 - report, don't die
             import pickle
             carried: BaseException | None = exc
@@ -225,11 +165,10 @@ def run_chunk(chunk: typing.Sequence[PointSpec], lean: bool
 
 
 def default_chunksize(points: int, workers: int) -> int:
-    """Auto chunk size: aim for ~4 chunks per worker.
+    """Chunk size: aim for ~4 chunks per worker.
 
     Large grids amortize dispatch over many reps per IPC round; small
-    grids degrade to chunksize 1, which is just the old per-point
-    submission.
+    grids degrade to chunksize 1, one point per submission.
     """
     if points <= 0 or workers <= 0:
         return 1
@@ -260,58 +199,75 @@ def resolve_jobs(jobs: int | None, *, allow_all_cores: bool = True) -> int:
 
 
 class ParallelSweepRunner:
-    """Runs a list of :class:`PointSpec` over the warm shared pool.
+    """Runs a list of :class:`PointSpec`, in-process or over the warm
+    shared pool.
 
     Results come back in *spec order* regardless of completion order, so
     callers can zip them against their grid.  Progress callbacks fire
-    from the parent process as points complete -- completion-time
-    semantics on **both** the serial and parallel paths -- and the
-    optional ``counts`` callback reports queued/running/done totals for
-    chunked mode.
+    from the parent process as each point completes, on **both** the
+    serial and parallel paths.
     """
 
     def __init__(self, jobs: int | None = None,
-                 progress: ProgressFn | None = None,
-                 chunksize: int | None = None,
-                 counts: CountsFn | None = None) -> None:
+                 progress: ProgressFn | None = None) -> None:
         self.jobs = resolve_jobs(jobs, allow_all_cores=False)
         self.progress = progress
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        self.chunksize = chunksize
-        self.counts = counts
 
     def run(self, specs: typing.Sequence[PointSpec], *,
-            lean: bool = False) -> list[SimulationResult | PointSummary]:
-        if self.jobs == 1 or len(specs) <= 1:
-            return self._run_serial(specs, lean)
-        return self._run_parallel(specs, lean)
+            on_system: SystemHook | None = None) -> list[typing.Any]:
+        """Run ``specs``; each output is what :func:`run_point_spec`
+        returns.  ``on_system(system, spec)`` is called with each built
+        system before it runs -- the hook for observers on its event
+        bus -- and so requires ``jobs=1``."""
+        if on_system is not None and self.jobs > 1:
+            raise ValueError("on_system requires jobs=1 (systems built "
+                             "in pool workers never reach this process)")
+        if self.jobs > 1 and len(specs) > 1:
+            return self._run_parallel(specs)
+        outputs = []
+        for spec in specs:
+            outputs.append(run_point_spec(spec, on_system))
+            self._emit(spec)
+        return outputs
+
+    def run_adaptive(
+            self, spec_for: typing.Callable[[Key, int], PointSpec],
+            rules: typing.Mapping[Key, typing.Sequence[StoppingRule]],
+            values: typing.Callable[[typing.Any], typing.Sequence[float]],
+            ) -> dict[Key, list[typing.Any]]:
+        """Replicate every key of ``rules`` until its stopping rules
+        settle (CI-driven early stopping); each key's outputs come back
+        in rep order.
+
+        ``spec_for(key, rep)`` builds replication ``rep`` of ``key``, and
+        the i-th value of ``values(output)`` feeds the key's i-th rule.
+        Every wave runs, for each key, the most replications any of its
+        rules asks for, all keys in one :meth:`run` call -- so a wave
+        costs one dispatch round however many keys still converge.
+        """
+        outputs: dict[Key, list[typing.Any]] = {key: [] for key in rules}
+        while True:
+            wave = []
+            for key, key_rules in rules.items():
+                done = len(outputs[key])
+                wanted = max(rule.next_wave() for rule in key_rules)
+                wave += [(key, spec_for(key, rep))
+                         for rep in range(done, done + wanted)]
+            if not wave:
+                return outputs
+            for (key, _), output in zip(
+                    wave, self.run([spec for _, spec in wave])):
+                outputs[key].append(output)
+                for rule, value in zip(rules[key], values(output)):
+                    rule.observe(value)
 
     # ------------------------------------------------------------------
-    def _emit(self, spec: PointSpec, done: int, total: int,
-              running: int) -> None:
-        """Completion-time progress + counts for one finished point."""
+    def _emit(self, spec: PointSpec) -> None:
         if self.progress is not None:
             self.progress(spec.label)
-        if self.counts is not None:
-            running = min(running, total - done)
-            self.counts(SweepCounts(queued=total - done - running,
-                                    running=running, done=done,
-                                    total=total))
 
-    def _run_serial(self, specs: typing.Sequence[PointSpec], lean: bool
-                    ) -> list[SimulationResult | PointSummary]:
-        results: list[SimulationResult | PointSummary] = []
-        total = len(specs)
-        for index, spec in enumerate(specs):
-            result = run_point_spec(spec)
-            results.append(PointSummary.from_result(spec, result) if lean
-                           else result)
-            self._emit(spec, index + 1, total, running=1)
-        return results
-
-    def _run_parallel(self, specs: typing.Sequence[PointSpec], lean: bool
-                      ) -> list[SimulationResult | PointSummary]:
+    def _run_parallel(self, specs: typing.Sequence[PointSpec]
+                      ) -> list[typing.Any]:
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
 
@@ -319,20 +275,15 @@ class ParallelSweepRunner:
 
         total = len(specs)
         workers = min(self.jobs, total)
-        chunksize = (self.chunksize if self.chunksize is not None
-                     else default_chunksize(total, workers))
+        chunksize = default_chunksize(total, workers)
         pool = get_pool(workers)
-        results: list[SimulationResult | PointSummary | None] = \
-            [None] * total
-        chunks = [(start, specs[start:start + chunksize])
-                  for start in range(0, total, chunksize)]
-        futures = {pool.submit(run_chunk, chunk, lean): (start, chunk)
-                   for start, chunk in chunks}
+        results: list[typing.Any] = [None] * total
+        futures = {pool.submit(run_chunk, specs[start:start + chunksize]):
+                   start for start in range(0, total, chunksize)}
         done = 0
-        window = workers * chunksize
         try:
             for future in concurrent.futures.as_completed(futures):
-                start, chunk = futures[future]
+                start = futures[future]
                 try:
                     chunk_results = future.result()
                 except BrokenProcessPool:
@@ -341,22 +292,20 @@ class ParallelSweepRunner:
                     # the next sweep builds a fresh one.
                     shutdown_pool()
                     raise
-                for offset, (spec, item) in enumerate(
-                        zip(chunk, chunk_results)):
+                for index, item in enumerate(chunk_results, start):
                     if isinstance(item, _SpecFailure):
                         raise SweepWorkerError(
                             f"sweep point '{item.label}' raised "
                             f"{item.exc_type}: {item.message}\n"
                             f"--- worker traceback ---\n"
                             f"{item.traceback_text}") from item.exception
-                    results[start + offset] = item
+                    results[index] = item
                     done += 1
-                    self._emit(spec, done, total, running=window)
+                    self._emit(specs[index])
         finally:
             # On failure, stop dispatching work nobody will read; chunks
             # already running finish harmlessly in the (healthy) pool.
             if done < total:
                 for future in futures:
                     future.cancel()
-        return typing.cast(
-            "list[SimulationResult | PointSummary]", results)
+        return results

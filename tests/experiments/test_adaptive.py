@@ -9,7 +9,7 @@ its replication budget is exhausted, which the cap makes explicit).
 import pytest
 
 from repro.config import ModelParams
-from repro.experiments import MplSweep, PointSummary, get_experiment
+from repro.experiments import MplSweep, get_experiment
 from repro.experiments.base import DEFAULT_ADAPTIVE_CAP
 
 
@@ -33,14 +33,14 @@ def test_adaptive_runs_fewer_transactions_than_fixed():
                 or len(point.results) == 6), point.protocol
 
 
-def test_adaptive_points_hold_lean_summaries_with_min_two_reps():
-    results = _sweep().run("adaptive", target_ci=0.5)
-    for point in results.points.values():
-        assert 2 <= len(point.results) <= 6
-        assert all(isinstance(r, PointSummary) for r in point.results)
-        # replications keep the serial seed scheme, in rep order
-        assert [r.rep for r in point.results] == \
-            list(range(len(point.results)))
+def test_adaptive_points_are_the_fixed_sweeps_first_replications():
+    adaptive = _sweep().run("adaptive", target_ci=0.5)
+    fixed = _sweep().run("fixed")
+    for key, point in adaptive.points.items():
+        reps = len(point.results)
+        assert 2 <= reps <= 6
+        # replications keep the fixed sweep's seed scheme, in rep order
+        assert point.results == fixed.points[key].results[:reps]
 
 
 def test_adaptive_parallel_matches_serial():

@@ -63,6 +63,13 @@ class TestMeasurement:
         for expected, actual in rows:
             assert expected.as_tuple() == actual.as_tuple()
 
+    @pytest.mark.parametrize("target_ci", [None, 0.5])
+    def test_parallel_table_matches_serial(self, target_ci):
+        serial = build_table(3, 6, transactions=30, target_ci=target_ci)
+        parallel = build_table(3, 6, transactions=30, jobs=2,
+                               target_ci=target_ci)
+        assert parallel == serial
+
     def test_build_table_analytic_only(self):
         rows = build_table(3, 6, measured=False)
         assert len(rows) == len(TABLE_PROTOCOLS)

@@ -23,13 +23,11 @@ from repro.experiments import (
     MplSweep,
     ParallelSweepRunner,
     PointSpec,
-    PointSummary,
     SweepWorkerError,
     shutdown_pool,
 )
 from repro.experiments import pool as pool_mod
 from repro.experiments.runner import (
-    SweepCounts,
     default_chunksize,
     resolve_jobs,
     run_point_spec,
@@ -125,16 +123,12 @@ def test_default_chunksize_amortizes_large_grids():
     assert default_chunksize(0, 4) == 1
 
 
-def test_explicit_chunksize_validated():
-    with pytest.raises(ValueError):
-        ParallelSweepRunner(jobs=2, chunksize=0)
-
-
 def test_chunked_parallel_matches_serial_byte_identical():
     specs = [_spec(protocol=p, mpl=m, txns=15, seed=5)
-             for p in ("2PC", "PC") for m in (1, 2)]
+             for p in ("2PC", "PA", "PC") for m in (1, 2, 3)]
+    assert default_chunksize(len(specs), 2) == 2  # chunks, not points
     serial = ParallelSweepRunner(jobs=1).run(specs)
-    chunked = ParallelSweepRunner(jobs=2, chunksize=2).run(specs)
+    chunked = ParallelSweepRunner(jobs=2).run(specs)
     for left, right in zip(serial, chunked):
         assert _result_bytes(left) == _result_bytes(right)
 
@@ -153,29 +147,6 @@ def test_chunked_parallel_matches_golden_fixture():
         expected = grid["points"][f"{protocol}@{mpl}"]
         actual = json.loads(json.dumps(dataclasses.asdict(point.result)))
         assert actual == expected, f"{protocol}@{mpl} diverged"
-
-
-# ----------------------------------------------------------------------
-# Lean wire format
-# ----------------------------------------------------------------------
-def test_lean_summaries_match_full_results():
-    specs = [_spec(mpl=1), _spec(mpl=2)]
-    full = ParallelSweepRunner(jobs=2).run(specs)
-    lean = ParallelSweepRunner(jobs=2).run(specs, lean=True)
-    for spec, result, summary in zip(specs, full, lean):
-        assert isinstance(summary, PointSummary)
-        assert summary == PointSummary.from_result(spec, result)
-        # the metric attributes the experiment layer consumes
-        for attr in ("throughput", "response_time_ms", "block_ratio",
-                     "borrow_ratio", "abort_ratio", "committed",
-                     "overheads"):
-            assert getattr(summary, attr) == getattr(result, attr)
-
-
-def test_lean_serial_path_also_summarizes():
-    summary, = ParallelSweepRunner(jobs=1).run([_spec()], lean=True)
-    assert isinstance(summary, PointSummary)
-    assert summary.committed == 12
 
 
 # ----------------------------------------------------------------------
@@ -208,14 +179,15 @@ def test_serial_path_raises_directly():
 
 
 # ----------------------------------------------------------------------
-# Progress: completion-time semantics + chunked counts
+# Progress: completion-time semantics
 # ----------------------------------------------------------------------
 def test_progress_fires_after_completion_serial(monkeypatch):
     events = []
     real = run_point_spec
     monkeypatch.setattr("repro.experiments.runner.run_point_spec",
-                        lambda spec: (events.append(("run", spec.label)),
-                                      real(spec))[1])
+                        lambda spec, on_system: (
+                            events.append(("run", spec.label)),
+                            real(spec, on_system))[1])
     runner = ParallelSweepRunner(
         jobs=1, progress=lambda label: events.append(("progress", label)))
     runner.run([_spec(mpl=1), _spec(mpl=2)])
@@ -225,38 +197,19 @@ def test_progress_fires_after_completion_serial(monkeypatch):
     ]
 
 
-def test_counts_track_queued_running_done():
-    seen: list[SweepCounts] = []
-    specs = [_spec(mpl=m, seed=s) for m in (1, 2) for s in (3, 4)]
-    runner = ParallelSweepRunner(jobs=2, chunksize=1, counts=seen.append)
-    runner.run(specs)
-    assert [c.done for c in seen] == [1, 2, 3, 4]
-    assert all(c.total == 4 for c in seen)
-    assert all(c.queued + c.running + c.done == 4 for c in seen)
-    assert seen[-1] == SweepCounts(queued=0, running=0, done=4, total=4)
-
-
-def test_counts_in_serial_mode():
-    seen: list[SweepCounts] = []
-    runner = ParallelSweepRunner(jobs=1, counts=seen.append)
-    runner.run([_spec(mpl=1), _spec(mpl=2)])
-    assert seen == [
-        SweepCounts(queued=0, running=1, done=1, total=2),
-        SweepCounts(queued=0, running=0, done=2, total=2),
-    ]
-
-
 # ----------------------------------------------------------------------
-# Summaries flow through the experiment layer
+# System hook: in-process only
 # ----------------------------------------------------------------------
-def test_sweep_lean_results_render_tables():
-    sweep = MplSweep(["2PC", "PC"], lambda mpl: ModelParams(mpl=mpl),
-                     mpls=(1, 2), measured_transactions=15,
-                     warmup_transactions=2)
-    full = sweep.run("wire", jobs=2)
-    lean = sweep.run("wire", jobs=2, lean=True)
-    assert lean.table("throughput") == full.table("throughput")
-    assert (lean.point("2PC", 1).metric("throughput")
-            == full.point("2PC", 1).metric("throughput"))
-    assert isinstance(lean.point("2PC", 1).result, PointSummary)
-    assert lean.total_measured_transactions == 4 * 15
+def test_on_system_sees_each_system_and_spec_serially():
+    seen = []
+    specs = [_spec(mpl=1), _spec(mpl=2)]
+    ParallelSweepRunner(jobs=1).run(
+        specs, on_system=lambda system, spec: seen.append(
+            (system.params.mpl, spec)))
+    assert seen == [(1, specs[0]), (2, specs[1])]
+
+
+def test_on_system_rejected_with_workers():
+    with pytest.raises(ValueError, match="on_system requires jobs=1"):
+        ParallelSweepRunner(jobs=2).run([_spec(mpl=1), _spec(mpl=2)],
+                                        on_system=lambda system, spec: None)

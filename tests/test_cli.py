@@ -117,8 +117,37 @@ class TestRun:
         assert (tmp_path / "out" / "E7.long.csv").exists()
 
     def test_unknown_experiment(self):
-        with pytest.raises(KeyError):
-            run_cli("run", "E99", "--transactions", "10")
+        code, text = run_cli("run", "E99", "--transactions", "10")
+        assert code == 2
+        assert text.startswith("error: unknown experiment 'E99'")
+
+    @pytest.mark.parametrize("argv,message", [
+        (("run", "E7", "--replications", "0"), "replications must be >= 1"),
+        (("run", "E7", "--transactions", "0"),
+         "measured_transactions must be >= 1"),
+        (("run", "E7", "--mpls", "0"), "mpl must be >= 1"),
+        (("tables", "--transactions", "0"),
+         "measured_transactions must be >= 1"),
+    ], ids=["replications", "transactions", "mpls", "tables-transactions"])
+    def test_bad_sweep_input_is_a_cli_error(self, argv, message):
+        code, text = run_cli(*argv)
+        assert code == 2
+        assert text == f"error: {message}\n"  # before any point runs
+
+    def test_progress_lines_match_across_jobs(self):
+        """One progress line per replication, the same set serially and
+        on the pool (only their order may differ)."""
+        lines = {}
+        for jobs in ("1", "2"):
+            code, text = run_cli("run", "E7", "--mpls", "1",
+                                 "--transactions", "20",
+                                 "--replications", "2", "--jobs", jobs)
+            assert code == 0
+            lines[jobs] = sorted(line for line in text.splitlines()
+                                 if line.startswith("  ... "))
+        assert lines["1"] == lines["2"]
+        assert len(lines["1"]) == 5 * 2  # E7's protocols x replications
+        assert "  ... E7: 2PC @ MPL 1 rep 1" in lines["1"]
 
     def test_run_target_ci_prints_adaptive_summary(self):
         code, text = run_cli("run", "E7", "--transactions", "25",
