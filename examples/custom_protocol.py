@@ -36,7 +36,12 @@ class LongLocks2PC(TwoPhaseCommit):
         master.log(LogRecordKind.END)
 
     def cohort_decision(self, cohort):
-        message = yield cohort.recv()
+        # await_decision bounds the wait under faults and resolves an
+        # in-doubt cohort through recovery (then returns None).
+        message = yield from self.await_decision(
+            cohort, (MessageKind.COMMIT, MessageKind.ABORT))
+        if message is None:
+            return
         if message.kind is MessageKind.COMMIT:
             yield from cohort.force_log(LogRecordKind.COMMIT)
             cohort.implement_commit()

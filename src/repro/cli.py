@@ -31,11 +31,15 @@ import typing
 import repro
 from repro.config import DEFAULT_OPEN_ARRIVAL_TPS
 from repro.analysis.tables import render_comparison
+from repro.db.pages import ReplicationSpec
+from repro.db.topology import NetworkTopology
+from repro.db.workload import AccessSkew, RateCurve
 from repro.experiments import get_experiment
 from repro.experiments.grid import PRESETS, run_preset
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.overheads import render_table
 from repro.experiments.runner import resolve_jobs
+from repro.faults import RegionPlan
 
 
 def _parse_jobs(text: str) -> int:
@@ -71,44 +75,15 @@ def _parse_mpls(text: str) -> tuple[int, ...]:
             f"--mpls wants comma-separated integers, got {text!r}")
 
 
-def _parse_skew(text: str):
-    from repro.db.workload import AccessSkew
-    try:
-        return AccessSkew.parse(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
-
-
-def _parse_rate_curve(text: str):
-    from repro.db.workload import RateCurve
-    try:
-        return RateCurve.parse(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
-
-
-def _parse_topology(text: str):
-    from repro.db.topology import NetworkTopology
-    try:
-        return NetworkTopology.parse(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
-
-
-def _parse_fault_plan(text: str):
-    from repro.faults import RegionPlan
-    try:
-        return RegionPlan.parse(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
-
-
-def _parse_replication(text: str):
-    from repro.db.pages import ReplicationSpec
-    try:
-        return ReplicationSpec.parse(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
+def _spec(parse: typing.Callable[[str], typing.Any]):
+    """argparse ``type=`` for a spec class's ``parse``: its ValueError
+    becomes the usage error, message unchanged."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error))
+    return convert
 
 
 def _parse_factors(text: str) -> tuple[int, ...]:
@@ -148,7 +123,7 @@ def _add_open_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--queue-limit", type=int, default=64,
                         help="per-site admission queue bound; arrivals "
                              "beyond it are shed (with --open)")
-    parser.add_argument("--skew", type=_parse_skew, default=None,
+    parser.add_argument("--skew", type=_spec(AccessSkew.parse), default=None,
                         metavar="SPEC",
                         help="page-access skew: 'uniform', "
                              "'hotspot:<page%%>:<access%%>' (e.g. "
@@ -159,8 +134,8 @@ def _add_open_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_topology_args(parser: argparse.ArgumentParser) -> None:
     """Network-topology flags (see docs/MODEL.md)."""
-    parser.add_argument("--topology", type=_parse_topology, default=None,
-                        metavar="SPEC",
+    parser.add_argument("--topology", type=_spec(NetworkTopology.parse),
+                        default=None, metavar="SPEC",
                         help="network topology: 'uniform' (the paper's "
                              "zero-latency switch, the default), "
                              "'dcs:<D>x<S>:rtt_ms=<ms>' (e.g. "
@@ -169,7 +144,7 @@ def _add_topology_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--local-cohorts", action="store_true",
                         help="prefer cohort sites in the master's own "
                              "datacenter (requires a multi-DC --topology)")
-    parser.add_argument("--replication", type=_parse_replication,
+    parser.add_argument("--replication", type=_spec(ReplicationSpec.parse),
                         default=None, metavar="SPEC",
                         help="page replication: 'R' or 'R:<strategy>' "
                              "with strategy 'chain' (adjacent sites, the "
@@ -287,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sat.add_argument("--rates", type=_parse_rates, default=None,
                      help="comma-separated per-site arrival rates in "
                           "txns/s (default 0.5,1,1.5,2,3,5)")
-    sat.add_argument("--skew", type=_parse_skew, default=None,
+    sat.add_argument("--skew", type=_spec(AccessSkew.parse), default=None,
                      metavar="SPEC",
                      help="page-access skew (see simulate --skew)")
     sat.add_argument("--queue-limit", type=int, default=64,
@@ -324,14 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="per-site concurrency cap")
     soak.add_argument("--queue-limit", type=int, default=64,
                       help="per-site admission queue bound")
-    soak.add_argument("--skew", type=_parse_skew, default=None,
+    soak.add_argument("--skew", type=_spec(AccessSkew.parse), default=None,
                       metavar="SPEC",
                       help="page-access skew: 'uniform', "
                            "'hotspot:<page%%>:<access%%>[:<drift_s>]' "
                            "(drift_s rotates the hot set once per "
                            "period), or 'zipf:<theta>'")
-    soak.add_argument("--rate-curve", type=_parse_rate_curve, default=None,
-                      metavar="SPEC",
+    soak.add_argument("--rate-curve", type=_spec(RateCurve.parse),
+                      default=None, metavar="SPEC",
                       help="time-varying arrival rate: 'constant', "
                            "'diurnal:<period_s>:<amplitude>', or "
                            "'steps:<t_s>=<factor>,...'")
@@ -430,8 +405,8 @@ def _sweep_parser(sub: typing.Any, name: str, help_text: str,
 
 
 def _add_outage_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--topology", type=_parse_topology, default=None,
-                        metavar="SPEC",
+    parser.add_argument("--topology", type=_spec(NetworkTopology.parse),
+                        default=None, metavar="SPEC",
                         help="multi-DC topology the outage hits (default "
                              "dcs:2x2:rtt_ms=5); num_sites is derived "
                              "from it")
@@ -455,8 +430,8 @@ def _add_fault_args(sim: argparse.ArgumentParser) -> None:
                      help="mean extra wire delay per remote message in ms "
                           "(with --faults; 0 = the paper's zero-latency "
                           "switch)")
-    sim.add_argument("--fault-plan", type=_parse_fault_plan, default=None,
-                     metavar="SPEC",
+    sim.add_argument("--fault-plan", type=_spec(RegionPlan.parse),
+                     default=None, metavar="SPEC",
                      help="correlated-failure plan, comma-separated "
                           "directives: 'dc_crash:<dc>:at=<ms>:for=<ms>', "
                           "'partition:<dcA>|<dcB>:at=<ms>:for=<ms>', "

@@ -43,15 +43,11 @@ class CentralizedCommit(CommitProtocol):
     def cohort_commit(self, cohort: CohortAgent) -> CohortGenerator:
         assert self.system is not None
         ft = self.system.fault_timeouts
-        if ft is None:
-            message = yield cohort.recv()
-        else:
+        message = yield from cohort.expect(
+            (MessageKind.COMMIT,), ft and ft.decision_timeout_ms, "decision")
+        if message is None:
             # Cohorts never enter the prepared state here, so a missing
             # decision (master's site crashed) is a plain local abort.
-            message = yield from cohort.recv_wait(ft.decision_timeout_ms,
-                                                  wait="decision")
-            if message is None:
-                cohort.implement_abort()
-                return
-        assert message.kind is MessageKind.COMMIT, message
+            cohort.implement_abort()
+            return
         cohort.implement_commit()

@@ -36,6 +36,7 @@ from repro.core.base import CohortGenerator, CommitProtocol, MasterGenerator
 from repro.db.messages import MessageKind
 from repro.db.transaction import (
     AbortReason,
+    Agent,
     CohortAgent,
     CohortState,
     MasterAgent,
@@ -68,65 +69,42 @@ class LinearTwoPhaseCommit(CommitProtocol):
         assert self.system is not None
         yield from master.send(MessageKind.PREPARE, master.cohorts[0])
         ft = self.system.fault_timeouts
-        if ft is None:
-            message = yield master.recv()
-        else:
-            # The whole chain (2(D-1) hops plus forces) must complete
-            # before the decision flows back: give it the work budget.
-            message = yield from master.recv_wait(ft.work_timeout_ms,
-                                                  wait="chain-decision")
-            if message is None:
-                return (yield from self._master_resolve(master))
+        # The whole chain (2(D-1) hops plus forces) must complete before
+        # the decision flows back: give it the work budget.
+        message = yield from master.expect(
+            (MessageKind.COMMIT, MessageKind.ABORT),
+            ft and ft.work_timeout_ms, "chain-decision")
+        if message is None:
+            return (yield from self._master_resolve(master))
         if message.kind is MessageKind.COMMIT:
             # The decision record is durable at the chain's tail; the
             # master's own records are informational.
             master.log(LogRecordKind.COMMIT)
             master.log(LogRecordKind.END)
             return TransactionOutcome.COMMITTED
-        assert message.kind is MessageKind.ABORT, message
         master.log(LogRecordKind.ABORT)
         master.log(LogRecordKind.END)
         return self.abort_outcome(master)
 
-    def _master_resolve(self, master: MasterAgent):
+    def _master_resolve(self, master: MasterAgent) -> MasterGenerator:
         """The chain went silent: resolve against the tail's stable log.
 
         The tail is this protocol's decider, so the master must not
         unilaterally abort -- the tail may already have forced COMMIT.
-        Inquire until the tail site answers: a decision record settles
-        it; a dead tail with no record can never decide, so abort.
+        :meth:`inquire` asks the tail, as an in-doubt cohort would: a
+        decision record settles it; a dead tail with no record can never
+        decide, so abort.
         """
-        assert self.system is not None
-        system = self.system
-        ft = system.fault_timeouts
-        retry = ft.resolve_retry_ms if ft is not None else 500.0
-        tail = master.cohorts[-1]
-        target = tail.site
-        while True:
-            reachable = (target.up
-                         and system.network.path_open(master.site, target))
-            if reachable:
-                ok = yield from system.network.inquiry_round_trip(master,
-                                                                  target)
-                if not ok:
-                    # Partition started mid-exchange; retry after heal.
-                    yield system.env.timeout(retry)
-                    continue
-                kinds = target.log_manager.txn_kinds(
-                    master.txn.txn_id, master.txn.incarnation)
-                if LogRecordKind.COMMIT in kinds:
-                    master.log(LogRecordKind.COMMIT)
-                    master.log(LogRecordKind.END)
-                    return TransactionOutcome.COMMITTED
-                tail_dead = (tail.process is None
-                             or not tail.process.is_alive)
-                if LogRecordKind.ABORT in kinds or tail_dead:
-                    master.log(LogRecordKind.ABORT)
-                    master.log(LogRecordKind.END)
-                    if master.txn.abort_reason is None:
-                        master.txn.abort_reason = AbortReason.TIMEOUT
-                    return TransactionOutcome.ABORTED
-            yield system.env.timeout(retry)
+        outcome, _ = yield from self.inquire(master)
+        if outcome == "commit":
+            master.log(LogRecordKind.COMMIT)
+            master.log(LogRecordKind.END)
+            return TransactionOutcome.COMMITTED
+        master.log(LogRecordKind.ABORT)
+        master.log(LogRecordKind.END)
+        if master.txn.abort_reason is None:
+            master.txn.abort_reason = AbortReason.TIMEOUT
+        return TransactionOutcome.ABORTED
 
     # ------------------------------------------------------------------
     # Cohort side.
@@ -135,24 +113,21 @@ class LinearTwoPhaseCommit(CommitProtocol):
         assert self.system is not None
         index, left, right = self._chain(cohort)
         ft = self.system.fault_timeouts
-        if ft is None:
-            message = yield cohort.recv()
-        else:
-            message = yield from cohort.recv_wait(ft.work_timeout_ms,
-                                                  wait="chain-prepare")
-            if message is None:
-                # PREPARE never reached us: nothing was promised, quit.
-                # Our silence aborts the chain (left neighbours resolve
-                # against the tail, which can never decide commit now).
-                cohort.implement_abort()
-                return
+        message = yield from cohort.expect(
+            (MessageKind.PREPARE, MessageKind.ABORT),
+            ft and ft.work_timeout_ms, "chain-prepare")
+        if message is None:
+            # PREPARE never reached us: nothing was promised, quit.  Our
+            # silence aborts the chain (left neighbours resolve against
+            # the tail, which can never decide commit now).
+            cohort.implement_abort()
+            return
         if message.kind is MessageKind.ABORT:
             # A cohort to our left vetoed before we ever saw PREPARE.
             cohort.implement_abort()
             if right is not None:
                 yield from cohort.send(MessageKind.ABORT, right)
             return
-        assert message.kind is MessageKind.PREPARE, message
         if self.system.surprise_no_vote():
             yield from cohort.force_log(LogRecordKind.ABORT)
             cohort.implement_abort()
@@ -191,11 +166,13 @@ class LinearTwoPhaseCommit(CommitProtocol):
     # ------------------------------------------------------------------
     # Recovery: the chain's decider is the tail, not the master.
     # ------------------------------------------------------------------
-    def inquiry_site(self, cohort: CohortAgent):
-        return cohort.txn.cohorts[-1].site
+    # The master asks the tail too (``inquire(master)`` when the chain
+    # goes silent), so these hooks take any agent of the transaction.
+    def inquiry_site(self, agent: Agent):
+        return agent.txn.cohorts[-1].site
 
-    def coordinator_finished(self, cohort: CohortAgent) -> bool:
-        tail = cohort.txn.cohorts[-1]
+    def coordinator_finished(self, agent: Agent) -> bool:
+        tail = agent.txn.cohorts[-1]
         return tail.process is None or not tail.process.is_alive
     # presumed_outcome stays the base rule: the tail forces its COMMIT
     # record *before* propagating the decision, so a dead tail with no

@@ -163,28 +163,24 @@ class PaxosCommit(TwoPhaseCommit):
 
         Healthy runs consume all ``2F`` acknowledgements (they are
         already in flight and would otherwise linger as strays); under
-        faults the master proceeds at ``F`` -- with its co-located
-        acceptance that is the F+1 quorum -- and missing stragglers are
-        abandoned after the ack deadline, but *never* committed past.
+        faults the master proceeds at ``F`` all-YES ones -- with its
+        co-located acceptance that is the F+1 quorum -- and missing
+        stragglers are abandoned after the ack deadline, but *never*
+        committed past.
         """
         assert self.system is not None
         ft = self.system.fault_timeouts
-        if ft is None:
-            for _ in range(2 * f):
-                message = yield master.recv()
-                assert message.kind is MessageKind.PAXOS_2B, message
-            return True
-        remaining = f
+        remaining = 2 * f if ft is None else f
         while remaining:
-            message = yield from master.recv_wait(ft.ack_timeout_ms,
-                                                  wait="paxos-2b")
+            message = yield from master.expect(
+                (MessageKind.PAXOS_2B,), ft and ft.ack_timeout_ms,
+                "paxos-2b")
             if message is None:
                 return False
-            if message.kind is MessageKind.PAXOS_2B and message.payload:
-                # Only all-YES acceptances count toward the commit
-                # quorum; a False 2b reports a NO instance somewhere.
+            # Under faults only all-YES acceptances count toward the
+            # commit quorum; a False 2b reports a NO instance somewhere.
+            if ft is None or message.payload:
                 remaining -= 1
-            # stray (late/duplicate) traffic under faults; ignore.
         return True
 
     # ------------------------------------------------------------------
@@ -204,19 +200,13 @@ class PaxosCommit(TwoPhaseCommit):
         assert self.system is not None
         system = self.system
         ft = system.fault_timeouts
-        votes = 0
         all_yes = True
-        while votes < expected:
-            if ft is None:
-                message = yield acceptor.recv()
-            else:
-                message = yield from acceptor.recv_wait(ft.vote_timeout_ms,
-                                                        wait="paxos-2a")
-                if message is None:
-                    return  # a vote is missing for good; never accept
-            if message.kind is not MessageKind.PAXOS_2A:
-                continue  # stray traffic under faults; ignore
-            votes += 1
+        for _ in range(expected):
+            message = yield from acceptor.expect(
+                (MessageKind.PAXOS_2A,), ft and ft.vote_timeout_ms,
+                "paxos-2a")
+            if message is None:
+                return  # a vote is missing for good; never accept
             if message.payload == "no":
                 all_yes = False
         if not acceptor.site.up:

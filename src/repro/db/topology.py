@@ -58,6 +58,22 @@ class TopologyKind(enum.Enum):
     MATRIX = "matrix"
 
 
+def parse_options(segments: list[str],
+                  allowed: tuple[str, ...]) -> dict[str, float]:
+    """``key=<number>`` spec segments as a dict; a key outside
+    ``allowed`` raises ValueError listing the accepted ones.  Shared by
+    the topology and fault-plan grammars."""
+    options: dict[str, float] = {}
+    for segment in segments:
+        key, sep, value = segment.partition("=")
+        if not sep or key not in allowed:
+            raise ValueError(
+                f"unknown option {segment!r} (accepted: "
+                + ", ".join(f"{name}=<v>" for name in allowed) + ")")
+        options[key] = float(value)
+    return options
+
+
 @dataclasses.dataclass(frozen=True)
 class NetworkTopology:
     """Site placement plus per-link wire costs (CLI syntax in :meth:`parse`).
@@ -189,7 +205,7 @@ class NetworkTopology:
                     raise ValueError(
                         f"expected <D>x<S> datacenter dimensions, "
                         f"got {parts[1]!r}")
-                options = cls._parse_options(
+                options = parse_options(
                     parts[2:], ("rtt_ms", "intra_ms", "jitter_ms", "loss"))
                 if "rtt_ms" not in options:
                     raise ValueError("dcs topology needs rtt_ms=<ms>")
@@ -206,7 +222,7 @@ class NetworkTopology:
                 rows = tuple(
                     tuple(float(cell) for cell in row.split(","))
                     for row in parts[1].split(";"))
-                options = cls._parse_options(
+                options = parse_options(
                     parts[2:], ("jitter_ms", "loss"))
                 topology = cls(kind=TopologyKind.MATRIX, matrix=rows,
                                jitter_ms=options.get("jitter_ms", 0.0),
@@ -218,19 +234,6 @@ class NetworkTopology:
                 f"bad topology spec {text!r}: {error}") from None
         raise ValueError(
             f"bad topology spec {text!r}; expected {_SPEC_FORMS}")
-
-    @staticmethod
-    def _parse_options(segments: list[str],
-                       allowed: tuple[str, ...]) -> dict[str, float]:
-        options: dict[str, float] = {}
-        for segment in segments:
-            key, sep, value = segment.partition("=")
-            if not sep or key not in allowed:
-                raise ValueError(
-                    f"unknown option {segment!r} (accepted: "
-                    + ", ".join(f"{name}=<v>" for name in allowed) + ")")
-            options[key] = float(value)
-        return options
 
     def describe(self) -> str:
         if self.kind is TopologyKind.UNIFORM:

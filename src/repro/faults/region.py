@@ -43,6 +43,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.db.topology import parse_options
+
 #: canonical spelling of the accepted directive forms (quoted by parse
 #: errors).
 _PLAN_FORMS = ("'dc_crash:<dc>:at=<ms>:for=<ms>', "
@@ -208,7 +210,7 @@ class RegionPlan:
         kind = parts[0]
         try:
             if kind == "dc_crash" and len(parts) >= 3:
-                options = cls._parse_options(
+                options = parse_options(
                     parts[2:], ("at", "for", "mttf", "mttr"))
                 return RegionDirective(
                     kind="dc_crash", dc=int(parts[1]),
@@ -219,13 +221,13 @@ class RegionPlan:
                     raise ValueError(
                         f"expected <dcA>|<dcB> endpoints, got {parts[1]!r}")
                 dc_a, dc_b = sorted(int(end) for end in ends)
-                options = cls._parse_options(
+                options = parse_options(
                     parts[2:], ("at", "for", "mttf", "mttr"))
                 return RegionDirective(
                     kind="partition", dc_a=dc_a, dc_b=dc_b,
                     **cls._timing(options))
             if kind == "master_stall" and len(parts) >= 3:
-                options = cls._parse_options(parts[2:], ("for",))
+                options = parse_options(parts[2:], ("for",))
                 return RegionDirective(
                     kind="master_stall", txn=int(parts[1]),
                     **cls._timing(options))
@@ -247,16 +249,3 @@ class RegionPlan:
         if "mttr" in options:
             timing["mttr_ms"] = options["mttr"]
         return timing
-
-    @staticmethod
-    def _parse_options(segments: list[str],
-                       allowed: tuple[str, ...]) -> dict[str, float]:
-        options: dict[str, float] = {}
-        for segment in segments:
-            key, sep, value = segment.partition("=")
-            if not sep or key not in allowed:
-                raise ValueError(
-                    f"unknown option {segment!r} (accepted: "
-                    + ", ".join(f"{name}=<v>" for name in allowed) + ")")
-            options[key] = float(value)
-        return options

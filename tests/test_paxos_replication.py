@@ -407,6 +407,64 @@ class TestHealBackoffReset:
             f"in-doubt cohort resolved {max(lags):.0f} ms after the "
             f"heal; backoff state was not reset by LINK_HEAL")
 
+    def test_lin_master_resolution_prompt_after_heal(self):
+        """LIN-2PC's master asks the chain tail through the same inquiry
+        loop as an in-doubt cohort, so a master cut off from its tail by
+        a partition wakes at LINK_HEAL and resolves with one inquiry
+        round trip.  (Its private loop used to poll every
+        resolve_retry_ms, so it first asked up to 500 ms after the
+        heal.)"""
+        from repro.db.messages import MessageKind
+        from repro.db.transaction import MasterAgent
+
+        heal = 500.0 + 8000.0
+        plan = RegionPlan.parse("partition:0|1:at=500:for=8000")
+        blocked, asked, answered, finished = [], {}, {}, {}
+
+        def on_timeout(event):
+            # The chain went silent before the heal: the master inquires.
+            if isinstance(event.agent, MasterAgent) \
+                    and event.wait == "chain-decision":
+                blocked.append(event.agent)
+
+        def on_send(event):
+            if event.message.kind is MessageKind.STATUS_INQ \
+                    and event.time >= heal:
+                asked.setdefault(event.message.sender, event.time)
+
+        def on_deliver(event):
+            if event.message.kind is MessageKind.STATUS_ACK \
+                    and event.time >= heal:
+                answered.setdefault(event.message.sender, event.time)
+
+        def on_done(event):
+            finished[event.txn] = (event.time, event.kind)
+
+        def hook(system):
+            bus = system.bus
+            bus.subscribe(EventKind.TIMEOUT_FIRED, on_timeout)
+            bus.subscribe(EventKind.MSG_SEND, on_send)
+            bus.subscribe(EventKind.MSG_DELIVER, on_deliver)
+            bus.subscribe((EventKind.TXN_COMMIT, EventKind.TXN_ABORT),
+                          on_done)
+
+        repro.simulate(
+            "LIN-2PC", mpl=2, num_sites=4,
+            network_topology=repro.NetworkTopology.parse(DCS),
+            measured_transactions=60, warmup_transactions=0, seed=1,
+            on_system=hook,
+            faults=FaultConfig(mttr_ms=2_000.0, region=plan))
+        across = [master for master in blocked
+                  if finished[master.txn][0] > heal]
+        assert any(finished[master.txn][1] is EventKind.TXN_COMMIT
+                   for master in across), \
+            "no master was blocked across the heal from a decided tail"
+        for master in across:
+            assert asked[master] == heal, \
+                f"{master!r} first asked {asked[master] - heal:.0f} ms " \
+                f"after the heal"
+            assert finished[master.txn][0] == answered[master]
+
 
 # ----------------------------------------------------------------------
 # Satellite 2: drop accounting never drifts
