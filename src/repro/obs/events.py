@@ -325,7 +325,9 @@ class TimeoutFired(SimEvent):
     #: the agent whose wait expired (master or cohort).
     agent: object
     #: which wait: ``"startwork"``, ``"work"``, ``"votes"``,
-    #: ``"prepare"``, ``"decision"``, ``"acks"``, ``"precommit-acks"``.
+    #: ``"prepare"``, ``"decision"``, ``"acks"``, ``"precommit"``,
+    #: ``"precommit-acks"``, ``"chain-prepare"``, ``"chain-decision"``,
+    #: ``"paxos-2a"``, ``"paxos-2b"`` or ``"replica-update"``.
     wait: str
     waited_ms: float
 
