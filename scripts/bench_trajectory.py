@@ -357,16 +357,14 @@ def bench_inactive_planes(transactions: int, repeats: int) -> dict:
     exactly: 0, except 2 for the far-future region plan (its driver's
     start and its ``at=1e9`` timer).
     """
-    import dataclasses
-
     import repro
-    from repro.faults import CrashEvent, FaultConfig, RegionPlan
+    from repro.faults import FaultConfig, RegionPlan
 
     dcs = {"num_sites": 4,
            "network_topology": repro.NetworkTopology.parse("dcs:2x2:rtt_ms=0")}
-    armed = FaultConfig(crash_schedule=(CrashEvent(0, 1e9, 1.0),))
-    planned = dataclasses.replace(
-        armed, region=RegionPlan.parse("partition:0|1:at=1e9:for=1"))
+    armed = FaultConfig(region=RegionPlan.parse("site_crash:0:at=1e9:for=1"))
+    planned = FaultConfig(region=RegionPlan.parse(
+        "site_crash:0:at=1e9:for=1,partition:0|1:at=1e9:for=1"))
     planes = {
         "fault_overhead": (
             {"faults": None}, {"faults": FaultConfig()},

@@ -120,12 +120,14 @@ class Network:
             self._drop(message, "topology_loss")
             return
         if faults is not None:
-            # Fault plane stacks on the wire: injected loss/delay apply
-            # in addition to whatever the topology charged.
-            if faults.lose_message(message):
+            # Fault plane stacks on the wire: the plan's loss is drawn
+            # after the topology's own wire loss (either drops the
+            # message) and its delay adds to the link's.
+            plan = faults.plan
+            if plan.lose_message():
                 self._drop(message, "loss")
                 return
-            delay += faults.delay_message(message)
+            delay += plan.message_delay()
         # Receive side: an independent process so the sender is not
         # blocked while the receiver's CPU works through its queue.
         self.env.process(self._deliver(message, delay, cross_dc),

@@ -25,7 +25,7 @@ from repro.core.registry import create_protocol
 from repro.db.pages import ReplicationSpec
 from repro.db.topology import NetworkTopology, TopologyKind
 from repro.experiments.runner import ParallelSweepRunner, PointSpec, ProgressFn
-from repro.faults import FaultConfig, FaultTimeouts, RegionPlan
+from repro.faults import FaultConfig, FaultTimeouts, RegionPlan, flag_plan
 from repro.obs import EventKind
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -71,11 +71,12 @@ def system_counters(system: "DistributedSystem", spec: PointSpec) -> Reader:
 
 
 def outage_commits(system: "DistributedSystem", spec: PointSpec) -> Reader:
-    """Commits inside and after the window of the point's first region
-    directive, the tps carried inside it, and the ms from heal to the
-    first later commit (None if nothing committed after the heal)."""
+    """Commits inside and after the window of the point's scheduled
+    outage directive, the tps carried inside it, and the ms from heal to
+    the first later commit (None if nothing committed after the heal)."""
     assert spec.faults is not None and spec.faults.region is not None
-    outage = spec.faults.region.directives[0]
+    outage = next(d for d in spec.faults.region.directives
+                  if d.is_scheduled)
     heal = outage.at_ms + outage.for_ms
     times: list[float] = []
     system.bus.subscribe(EventKind.TXN_COMMIT,
@@ -365,8 +366,8 @@ AVAILABILITY = Preset(
                        mttr_ms=5_000.0, msg_loss=0.0),
     axes={"protocol": "protocols", "mttf_ms": "mttfs"},
     params=lambda c: {"mpl": c["mpl"]},
-    faults=lambda c: {"mttf_ms": c["mttf_ms"], "mttr_ms": c["mttr_ms"],
-                      "msg_loss_prob": c["msg_loss"]},
+    faults=lambda c: {"region": flag_plan(
+        mttf_ms=c["mttf_ms"], mttr_ms=c["mttr_ms"], loss=c["msg_loss"])},
     warmup=0,
     label=lambda c: f"availability: {c['protocol']} @ MTTF " + (
         "inf" if c["mttf_ms"] == 0 else f"{_mttf_s(c['mttf_ms'])}s"),
@@ -561,9 +562,9 @@ REPLICATION = Preset(
     axes={"mttf_ms": "mttfs", "factor": "factors", "protocol": "protocols"},
     params=lambda c: {**_on_topology(c), "replication": ReplicationSpec(
         c["factor"]) if c["factor"] > 1 else None},
-    faults=lambda c: {"mttf_ms": c["mttf_ms"], "mttr_ms": c["mttr_ms"],
-                      "region": RegionPlan.parse(
-                          f"dc_crash:0:at={c['at_ms']}:for={c['outage_ms']}")},
+    faults=lambda c: {"region": flag_plan(
+        mttf_ms=c["mttf_ms"], mttr_ms=c["mttr_ms"], plan=RegionPlan.parse(
+            f"dc_crash:0:at={c['at_ms']}:for={c['outage_ms']}"))},
     probes=("counters", "outage"),
     prepare=_replication_prepare,
     label="replication: {protocol} R={factor} mttf={mttf_ms:.0f}ms",

@@ -1,8 +1,8 @@
 """Fault injector x network topology composition.
 
 The cost model prices the *healthy* wire (per-link latency, stochastic
-wire loss); the fault injector models the *unhealthy* one (per-kind
-injected delay/loss, site crashes).  These tests pin the contract that
+wire loss); the fault injector models the *unhealthy* one (injected
+delay/loss, site crashes).  These tests pin the contract that
 the two stack rather than replace each other.
 """
 
@@ -13,8 +13,7 @@ from repro.core import create_protocol
 from repro.db.messages import Message, MessageKind
 from repro.db.system import DistributedSystem
 from repro.db.topology import NetworkTopology
-from repro.faults import CrashEvent, FaultConfig
-from repro.faults.plan import FaultPlan
+from repro.faults import FaultConfig, FaultPlan, RegionPlan
 from repro.obs.events import EventKind
 from repro.obs.recorder import EventLog
 from repro.sim.rng import RandomStreams
@@ -36,8 +35,7 @@ def _system(topology, faults, num_sites=2, seed=SEED):
 def test_injected_delay_stacks_on_topology_latency():
     """Total delivery delay = wire latency + injected delay, not either
     alone."""
-    config = FaultConfig(msg_delay_ms=8.0,
-                         faulty_kinds=("PREPARE",))
+    config = FaultConfig(region=RegionPlan.parse("delay:8"))
     system = _system("matrix:0,20;20,0", config)
     txn = FakeTransaction()
     sender = FakeAgent(system, 0, txn)
@@ -54,7 +52,7 @@ def test_injected_delay_stacks_on_topology_latency():
     system.env.run()
     # Reproduce the injector's own draw: same seed, same named stream.
     expected_injected = FaultPlan(config, RandomStreams(SEED),
-                                  num_sites=2).message_delay("PREPARE")
+                                  num_sites=2).message_delay()
     assert expected_injected > 0.0
     # 5ms send CPU + 20ms wire + injected delay + 5ms receive CPU.
     assert arrived == [pytest.approx(30.0 + expected_injected)]
@@ -62,7 +60,7 @@ def test_injected_delay_stacks_on_topology_latency():
 
 def test_injected_delay_alone_skips_the_wire():
     """Same fault config without a WAN topology: only the injected part."""
-    config = FaultConfig(msg_delay_ms=8.0, faulty_kinds=("PREPARE",))
+    config = FaultConfig(region=RegionPlan.parse("delay:8"))
     params = ModelParams(num_sites=2, dist_degree=1, mpl=1, db_size=200,
                          cohort_size=2)
     system = DistributedSystem(params, create_protocol("2PC"), seed=SEED,
@@ -81,14 +79,14 @@ def test_injected_delay_alone_skips_the_wire():
     system.env.process(consumer(system.env))
     system.env.run()
     expected_injected = FaultPlan(config, RandomStreams(SEED),
-                                  num_sites=2).message_delay("PREPARE")
+                                  num_sites=2).message_delay()
     assert arrived == [pytest.approx(10.0 + expected_injected)]
 
 
 def test_topology_and_injected_loss_both_drop():
     """With both loss planes armed, drops carry *both* reasons over a
     long enough stream of messages -- either plane can eat a message."""
-    config = FaultConfig(msg_loss_prob=0.3)
+    config = FaultConfig(region=RegionPlan.parse("loss:0.3"))
     system = _system("matrix:0,0;0,0:loss=0.3", config)
     log = EventLog(kinds=(EventKind.MSG_DROP,)).attach(system.bus)
     txn = FakeTransaction()
@@ -110,7 +108,7 @@ def test_topology_and_injected_loss_both_drop():
 def test_inquiries_are_exempt_from_stochastic_loss():
     """Recovery inquiries are a reliable retried exchange: they pay wire
     delay but never stochastic loss (topology or injected)."""
-    config = FaultConfig(msg_loss_prob=0.5)
+    config = FaultConfig(region=RegionPlan.parse("loss:0.5"))
     system = _system("matrix:0,20;20,0:loss=0.5", config)
     txn = FakeTransaction()
     agent = FakeAgent(system, 0, txn)
@@ -133,7 +131,7 @@ def test_crashed_site_drops_in_flight_cross_dc_message():
     """A site that crashes while a cross-DC message is on the wire still
     eats it -- the drop happens *after* the link delay elapses."""
     config = FaultConfig(
-        crash_schedule=(CrashEvent(1, 7.0, 10_000.0),))
+        region=RegionPlan.parse("site_crash:1:at=7:for=10000"))
     system = _system("matrix:0,20;20,0", config)
     system.faults.start()
     log = EventLog(kinds=(EventKind.MSG_DROP,)).attach(system.bus)

@@ -34,7 +34,8 @@ from repro.sim.rng import RandomStreams
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_sweep.json"
 
 #: the harsh environment used by the fault-suite survival tests.
-HARSH = dict(mttf_ms=25_000.0, mttr_ms=2_000.0, msg_loss_prob=0.02)
+HARSH = dict(region=RegionPlan.parse(
+    "site_crash:*:mttf=25000:mttr=2000,loss:0.02"))
 
 DCS = "dcs:2x2:rtt_ms=5"
 
@@ -510,7 +511,8 @@ class TestDropAccounting:
     def test_topology_wire_loss_run(self):
         _, system, log = _run("PAXOS", seed=42, transactions=60, mpl=2, num_sites=4,
                               topology="dcs:2x2:rtt_ms=5:loss=0.05",
-                              faults=FaultConfig(msg_loss_prob=0.01),
+                              faults=FaultConfig(
+                                  region=RegionPlan.parse("loss:0.01")),
                               log_kinds=(EventKind.MSG_DROP,))
         reasons = self._check(system, log)
         assert reasons.get("topology_loss", 0) > 0
@@ -533,10 +535,9 @@ class TestRngCheckpointCoverage:
             replication=ReplicationSpec(2),
             measured_transactions=40, warmup_transactions=0, seed=7,
             on_system=lambda s: captured.append(s),
-            faults=FaultConfig(mttf_ms=60_000.0, mttr_ms=2_000.0,
-                               msg_loss_prob=0.02, msg_delay_ms=1.0,
-                               region=RegionPlan.parse(
-                                   "dc_crash:0:at=800:for=1200")))
+            faults=FaultConfig(region=RegionPlan.parse(
+                "site_crash:*:mttf=60000:mttr=2000,loss:0.02,delay:1,"
+                "dc_crash:0:at=800:for=1200")))
         return captured[0]
 
     def test_capture_covers_every_stream_ever_created(self):
@@ -577,8 +578,8 @@ class TestRngCheckpointCoverage:
                              db_size=600, dist_degree=2, cohort_size=4)
         system = repro.build_system(
             "PAXOS", params, seed=7,
-            faults=FaultConfig(mttf_ms=60_000.0, mttr_ms=2_000.0,
-                               msg_loss_prob=0.01))
+            faults=FaultConfig(region=RegionPlan.parse(
+                "site_crash:*:mttf=60000:mttr=2000,loss:0.01")))
         system.start()
         system.env.run(until=system.metrics.when_committed(30))
         system.stop_arrivals()

@@ -27,13 +27,7 @@ import pytest
 
 import repro
 from repro.cli import main as cli_main
-from repro.faults import (
-    CrashEvent,
-    FaultConfig,
-    FaultPlan,
-    RegionDirective,
-    RegionPlan,
-)
+from repro.faults import FaultConfig, FaultPlan, RegionDirective, RegionPlan
 from repro.obs import EventLog
 from repro.obs.events import EventKind, event_to_dict
 from repro.sim.rng import RandomStreams
@@ -95,6 +89,31 @@ class TestRegionPlanParse:
         plan.check_dcs(0)  # names no datacenter: any topology will do
         repro.build_system("2PC", faults=FaultConfig(region=plan))
 
+    def test_site_crash_forms(self):
+        plan = RegionPlan.parse(
+            "site_crash:3:at=500:for=1000,site_crash:*:mttf=25000:mttr=2000")
+        one, every = plan.directives
+        assert one == RegionDirective(
+            kind="site_crash", site=3, at_ms=500.0, for_ms=1000.0)
+        assert one.stream_name == "faults-site-3"
+        assert every == RegionDirective(
+            kind="site_crash", site=None, mttf_ms=25_000.0,
+            mttr_ms=2_000.0)
+        assert not every.is_scheduled and every.dcs() == ()
+        assert plan.describe() == ("site_crash site3 at=500ms for=1000ms, "
+                                   "site_crash * mttf=25000ms mttr=2000ms")
+        # Names no datacenter: any topology will do.
+        repro.build_system("2PC", faults=FaultConfig(region=plan))
+
+    def test_loss_and_delay(self):
+        plan = RegionPlan.parse("loss:0.02,delay:3")
+        assert plan.directives == (RegionDirective(kind="loss", prob=0.02),
+                                   RegionDirective(kind="delay",
+                                                   mean_ms=3.0))
+        assert [d.stream_name for d in plan.directives] == \
+            ["faults-msgloss", "faults-msgdelay"]
+        assert plan.describe() == "loss p=0.02, delay mean=3ms"
+
     def test_multiple_directives(self):
         plan = RegionPlan.parse(COMBINED_PLAN)
         assert [d.kind for d in plan.directives] == \
@@ -117,6 +136,18 @@ class TestRegionPlanParse:
         "partition:0:at=1:for=2",               # one endpoint
         "partition:0|0:at=1:for=2",             # same endpoint
         "partition:0|1|2:at=1:for=2",           # three endpoints
+        "site_crash:0",                         # no timing
+        "site_crash:-1:at=1:for=2",             # negative site
+        "site_crash:one:at=1:for=2",
+        "site_crash:*:at=1:for=2:mttf=3:mttr=4",  # both modes
+        "loss",
+        "loss:0",                               # a loss that loses nothing
+        "loss:1.5",
+        "loss:0.1:kinds=vote_yes",              # no per-kind loss
+        "delay:0",
+        "delay:-3",
+        "loss:0.1,loss:0.2",                    # one stream, one directive
+        "delay:1,delay:2",
     ])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError, match="bad fault plan spec|empty"):
@@ -151,8 +182,8 @@ class TestRegionPlanParse:
 
         def draws(seed):
             plan = FaultPlan(config, RandomStreams(seed), num_sites=4)
-            (directive,) = plan.region_directives()
-            cycle = plan.region_cycle(directive)
+            (directive,) = plan.directives
+            cycle = plan.cycle(directive)
             return [next(cycle) for _ in range(5)]
 
         assert draws(3) == draws(3)
@@ -237,14 +268,13 @@ class TestDcCrashSemantics:
         assert injector.crashes == 2
 
     def test_dc_crash_skips_already_down_sites(self):
-        # Site 0 is already down (per-site schedule) when the DC outage
+        # Site 0 is already down (its own site_crash) when the DC outage
         # fires: the DC crash takes only site 1 and recovers only site 1
-        # -- the per-site fault keeps ownership of site 0.
+        # -- the site crash keeps ownership of site 0.
         _, injector, _, log = _region_run(
-            "2PC", "dcs:2x2:rtt_ms=5", "dc_crash:0:at=1000:for=1000",
+            "2PC", "dcs:2x2:rtt_ms=5",
+            "site_crash:0:at=500:for=4000,dc_crash:0:at=1000:for=1000",
             num_sites=4,
-            crash_schedule=(CrashEvent(site_id=0, at_ms=500.0,
-                                       duration_ms=4000.0),),
             log_kinds=(EventKind.DC_CRASH, EventKind.SITE_RECOVER))
         (dc_event,) = [e for e in log.events
                        if e.kind is EventKind.DC_CRASH]
@@ -256,13 +286,12 @@ class TestDcCrashSemantics:
         assert injector.crashes == 2 and injector.recoveries == 2
 
     def test_scheduled_site_crash_skips_during_dc_outage(self):
-        # The per-site scheduled driver wakes at t=1500 while the DC
-        # outage holds its site down: it must skip, not double-crash.
+        # The site crash's onset comes at t=1500 while the DC outage
+        # holds its site down: it must skip, not double-crash.
         _, injector, _, log = _region_run(
-            "2PC", "dcs:2x2:rtt_ms=5", "dc_crash:0:at=1000:for=2000",
+            "2PC", "dcs:2x2:rtt_ms=5",
+            "site_crash:0:at=1500:for=500,dc_crash:0:at=1000:for=2000",
             num_sites=4,
-            crash_schedule=(CrashEvent(site_id=0, at_ms=1500.0,
-                                       duration_ms=500.0),),
             log_kinds=(EventKind.SITE_CRASH, EventKind.SITE_RECOVER))
         crashes = [e for e in log.events
                    if e.kind is EventKind.SITE_CRASH and e.site_id == 0]
@@ -270,12 +299,12 @@ class TestDcCrashSemantics:
         assert injector.crashes == 2  # both DC sites, nothing extra
 
     def test_stochastic_site_crash_skips_during_dc_outage(self):
-        # A fast stochastic per-site cycle wakes repeatedly inside the
-        # DC outage window; every wake must find the site down and skip.
+        # A fast stochastic site cycle wakes repeatedly inside the DC
+        # outage window; every wake must find the site down and skip.
         _, injector, _, log = _region_run(
-            "2PC", "dcs:2x2:rtt_ms=5", "dc_crash:0:at=200:for=3000",
+            "2PC", "dcs:2x2:rtt_ms=5",
+            "site_crash:0:mttf=150:mttr=50,dc_crash:0:at=200:for=3000",
             num_sites=4, transactions=20,
-            mttf_ms=150.0, mttr_ms=50.0, crashable_sites=(0,),
             log_kinds=(EventKind.SITE_CRASH,))
         for event in log.events:
             if event.site_id != 0:
@@ -288,7 +317,7 @@ class TestDcCrashSemantics:
     def test_replay_skips_already_resolved_cohorts(self):
         system = repro.build_system(
             "2PC", faults=FaultConfig(
-                crash_schedule=(CrashEvent(0, 1e9, 1.0),)))
+                region=RegionPlan.parse("site_crash:0:at=1e9:for=1")))
         injector = system.faults
         spec = system.workload.generate(0)
         txn = system._launch(spec, 0, system.env.now)
@@ -376,8 +405,8 @@ class TestPartitionSemantics:
 class TestDropAccounting:
     def test_drops_by_reason_partitions_the_network_total(self):
         _, injector, system, _ = _region_run(
-            "2PC", "dcs:2x2:rtt_ms=5", COMBINED_PLAN, num_sites=4,
-            msg_loss_prob=0.02)
+            "2PC", "dcs:2x2:rtt_ms=5", COMBINED_PLAN + ",loss:0.02",
+            num_sites=4)
         network = system.network
         assert network.messages_dropped == \
             sum(network.drops_by_reason.values())
@@ -459,9 +488,8 @@ class TestBlockedLockComparison:
 # ----------------------------------------------------------------------
 class TestInertPlanIsFree:
     def test_far_future_plan_matches_armed_baseline(self):
-        def run(region):
-            config = FaultConfig(
-                crash_schedule=(CrashEvent(0, 1e9, 1.0),), region=region)
+        def run(plan):
+            config = FaultConfig(region=RegionPlan.parse(plan))
             return dataclasses.asdict(repro.simulate(
                 "2PC", mpl=2, num_sites=4,
                 network_topology=repro.NetworkTopology.parse(
@@ -469,8 +497,8 @@ class TestInertPlanIsFree:
                 measured_transactions=40, warmup_transactions=0, seed=7,
                 faults=config))
 
-        baseline = run(None)
-        inert = run(RegionPlan.parse("partition:0|1:at=1e9:for=1"))
+        baseline = run("site_crash:0:at=1e9:for=1")
+        inert = run("site_crash:0:at=1e9:for=1,partition:0|1:at=1e9:for=1")
         assert baseline == inert, (
             "a region plan that never fires must not perturb the "
             "trajectory")
