@@ -444,8 +444,12 @@ class CohortAgent(Agent):
         A site crash that hits a prepared (or precommitted) cohort does
         *not* release its locks: the cohort becomes in-doubt -- that is
         2PC's blocking problem -- and is handed to the fault injector for
-        resolution when the site recovers and replays its WAL.
+        resolution when the site recovers and replays its WAL.  A
+        finished (committed or aborted) cohort has released its locks
+        under its outcome already and keeps both.
         """
+        if self.state in (CohortState.COMMITTED, CohortState.ABORTED):
+            return
         if cause is AbortReason.SITE_CRASH and self.state in (
                 CohortState.PREPARED, CohortState.PRECOMMITTED):
             faults = self.system.faults
