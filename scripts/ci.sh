@@ -28,6 +28,19 @@ echo "== replication smoke (quorum commit over replicated pages) =="
 python -m repro.cli replication --protocols 2PC,PAXOS --factors 1,2 \
     --mttfs 0 --transactions 30 --quiet
 
+# The fault flags are sugar for fault-plan directives: the same faults
+# written both ways must print the same stdout.
+echo "== fault flags == fault plan (simulate stdout) =="
+fault_dir="$(mktemp -d)"
+python -m repro.cli simulate 3PC --mpl 3 --transactions 150 --seed 1 \
+    --faults --mttf-ms 25000 --mttr-ms 2000 --msg-loss 0.02 \
+    --msg-delay-ms 3 > "$fault_dir/flags"
+python -m repro.cli simulate 3PC --mpl 3 --transactions 150 --seed 1 \
+    --fault-plan "site_crash:*:mttf=25000:mttr=2000,loss:0.02,delay:3" \
+    > "$fault_dir/plan"
+diff "$fault_dir/flags" "$fault_dir/plan"
+rm -r "$fault_dir"
+
 # Serial equals parallel at the CLI: the same stdout at --jobs 1 and
 # --jobs 2, minus the wall-time line.  Tier-2 checks the library at more
 # workers; this check runs on every change.
