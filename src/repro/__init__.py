@@ -47,7 +47,6 @@ from repro.db.system import (
     SimulationResult,
 )
 from repro.db.topology import (
-    LanSwitch,
     NetworkTopology,
     TopologyKind,
     WanTopology,
@@ -65,7 +64,6 @@ __all__ = [
     "AccessSkew",
     "CommitProtocol",
     "DistributedSystem",
-    "LanSwitch",
     "ModelParams",
     "NetworkTopology",
     "OpenSimulationResult",

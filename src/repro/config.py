@@ -93,10 +93,9 @@ class ModelParams:
     topology: Topology = Topology.DISTRIBUTED
 
     #: network placement and wire costs (extension; see docs/MODEL.md).
-    #: None keeps the paper's zero-latency switch on the historical hot
-    #: path; the ``uniform`` spec is byte-identical but routes through
-    #: the pluggable :class:`repro.db.topology.LanSwitch` cost model;
-    #: ``dcs:``/``matrix:`` specs pay per-link wire latency/jitter/loss.
+    #: None and the ``uniform`` spec are the paper's zero-latency
+    #: switch; ``dcs:``/``matrix:`` specs pay per-link wire
+    #: latency/jitter/loss.
     network_topology: "NetworkTopology | None" = None
     #: workload placement: pick cohort sites from the master's own
     #: datacenter first (requires a multi-DC ``network_topology``).

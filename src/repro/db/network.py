@@ -17,43 +17,39 @@ Consequences implemented here:
   to the master talking to its local cohort) and are delivered
   immediately.
 
-The wire itself is pluggable: a :class:`repro.db.topology.CostModel`
-(``cost_model``) is consulted per remote message for wire delay and
-stochastic wire loss.  ``None`` keeps the paper's zero-cost switch on
-the historical hot path; :class:`repro.db.topology.LanSwitch` is
-byte-identical through the indirection; a
-:class:`repro.db.topology.WanTopology` pays per-link latency and
-classifies traffic as intra- vs cross-datacenter.  The fault injector
-*composes with* (stacks on top of) the cost model: topology delay and
-loss model the healthy wire, injected delay and loss the unhealthy one,
-and a site that crashes while a cross-DC message is in flight still
-drops it once the link delay has elapsed (see ``_deliver``).
+The wire is a :class:`repro.db.topology.WanTopology` (``cost``) for a
+topology that places sites in datacenters, and None -- the paper's free
+switch -- otherwise.  A WAN charges per-link latency, classifies traffic
+as intra- vs cross-datacenter and may lose a message on the healthy
+wire.  The fault injector *stacks on top of* the wire: injected delay
+and loss model the unhealthy one, and a site that crashes while a
+cross-DC message is in flight still drops it once the link delay has
+elapsed (see ``_deliver``).
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.db.messages import MessageKind
+from repro.db.messages import Message, MessageKind
 from repro.obs.bus import EventBus
 from repro.obs.events import EventKind, MessageDeliver, MessageSend, MsgDrop
 from repro.sim.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.db.messages import Message
     from repro.db.site import Site
-    from repro.db.topology import CostModel
+    from repro.db.topology import WanTopology
     from repro.db.transaction import Agent
     from repro.faults.injector import FaultInjector
     from repro.sim.engine import Environment
 
 
 class Network:
-    """Message switch with per-end CPU costs and a pluggable wire."""
+    """Message switch with per-end CPU costs and an optional WAN wire."""
 
     def __init__(self, env: "Environment", msg_cpu_ms: float,
                  bus: EventBus | None = None,
-                 cost_model: "CostModel | None" = None) -> None:
+                 cost_model: "WanTopology | None" = None) -> None:
         self.env = env
         self.msg_cpu_ms = msg_cpu_ms
         #: instrumentation plane; a standalone network gets a private bus.
@@ -61,15 +57,15 @@ class Network:
         #: fault plane; None means perfectly reliable (the default).
         self.faults: "FaultInjector | None" = None
         #: wire plane; None means the paper's free zero-latency switch.
-        self.cost: "CostModel | None" = cost_model
+        self.cost: "WanTopology | None" = cost_model
         self.messages_sent = 0
         self.local_messages = 0
         self.messages_dropped = 0
         #: drop counts keyed by :class:`repro.obs.events.MsgDrop` reason
         #: (``loss`` / ``topology_loss`` / ``site_down`` / ``partition``).
         self.drops_by_reason: dict[str, int] = {}
-        #: remote messages whose link crossed datacenters (topology runs
-        #: with a site->DC placement only; otherwise both stay 0).
+        #: remote messages whose link crossed datacenters (WAN runs only;
+        #: otherwise both stay 0).
         self.cross_dc_messages = 0
         self.intra_dc_messages = 0
 
@@ -81,31 +77,13 @@ class Network:
         nothing and are delivered synchronously.
         """
         sender_site = message.sender.site
-        receiver_site = message.receiver.site
-        bus = self.bus
-        if sender_site.site_id == receiver_site.site_id:
-            self.local_messages += 1
-            if bus.has_subscribers(EventKind.MSG_SEND):
-                bus.publish(MessageSend(
-                    self.env.now, message, local=True,
-                    link=(sender_site.site_id, sender_site.site_id)))
-            if bus.has_subscribers(EventKind.MSG_DELIVER):
-                bus.publish(MessageDeliver(
-                    self.env.now, message,
-                    link=(sender_site.site_id, sender_site.site_id)))
+        src = sender_site.site_id
+        dst = message.receiver.site.site_id
+        if src == dst:
+            self._hand_over(message, src)
             message.receiver.inbox.put(message)
             return
-        self.messages_sent += 1
-        cost = self.cost
-        src = sender_site.site_id
-        dst = receiver_site.site_id
-        delay, cross_dc = ((0.0, False) if cost is None
-                           else self._wire(message, cost, src, dst))
-        if bus.has_subscribers(EventKind.MSG_SEND):
-            bus.publish(MessageSend(self.env.now, message, local=False,
-                                    link=(src, dst), delay_ms=delay,
-                                    cross_dc=cross_dc))
-        self._count_for_transaction(message)
+        delay, cross_dc = self._put_on_link(message, src, dst)
         yield from sender_site.message_cpu(self.msg_cpu_ms)
         faults = self.faults
         if faults is not None and faults.link_severed(src, dst):
@@ -114,7 +92,8 @@ class Network:
             # MsgCPU (there is no wire to lose it on).
             self._drop(message, "partition")
             return
-        if cost is not None and cost.lose(src, dst):
+        wire = self.cost
+        if wire is not None and wire.lose(src, dst):
             # Lost on the (healthy) wire: the sender already paid its
             # MsgCPU; nobody pays the receive cost.
             self._drop(message, "topology_loss")
@@ -133,22 +112,50 @@ class Network:
         self.env.process(self._deliver(message, delay, cross_dc),
                          name=f"deliver-{message.kind.value}")
 
-    def _wire(self, message: "Message", cost: "CostModel", src: int,
-              dst: int) -> tuple[float, bool]:
-        """Cost-model half of putting a remote message on link
-        ``src -> dst``: classify it intra- vs cross-DC (when the model
-        has a site->DC placement) and return ``(wire delay, cross_dc)``.
-        Runs without a cost model skip it; their wire is free.
-        """
+    def _hand_over(self, message: "Message", site_id: int) -> None:
+        """Count and trace a same-site message: free and instantaneous,
+        so its send and its delivery happen now."""
+        self.local_messages += 1
+        bus = self.bus
+        link = (site_id, site_id)
+        if bus.has_subscribers(EventKind.MSG_SEND):
+            bus.publish(MessageSend(self.env.now, message, local=True,
+                                    link=link))
+        if bus.has_subscribers(EventKind.MSG_DELIVER):
+            bus.publish(MessageDeliver(self.env.now, message, link=link))
+
+    def _put_on_link(self, message: "Message", src: int, dst: int,
+                     ) -> tuple[float, bool]:
+        """Put a remote message on link ``src -> dst``: count it, split
+        it intra- vs cross-DC and draw its wire delay (WAN runs only),
+        and trace its send.  Returns ``(wire delay, cross_dc)``."""
+        self.messages_sent += 1
+        kind = message.kind
+        txn = message.sender.txn
+        if kind.is_execution:
+            txn.messages_execution += 1
+        elif kind is not MessageKind.REPLICA_UPDATE:
+            # Post-commit replica propagation is accounted on the
+            # system's replication counters, not the transaction's
+            # commit-protocol overheads (the paper's Tables 3 and 4).
+            txn.messages_commit += 1
+        delay = 0.0
         cross_dc = False
-        if cost.placement is not None:
-            cross_dc = cost.placement[src] != cost.placement[dst]
+        wire = self.cost
+        if wire is not None:
+            cross_dc = wire.is_cross_dc(src, dst)
             if cross_dc:
                 self.cross_dc_messages += 1
-                message.sender.txn.messages_cross_dc += 1
+                txn.messages_cross_dc += 1
             else:
                 self.intra_dc_messages += 1
-        return cost.wire_delay(src, dst), cross_dc
+            delay = wire.wire_delay(src, dst)
+        bus = self.bus
+        if bus.has_subscribers(EventKind.MSG_SEND):
+            bus.publish(MessageSend(self.env.now, message, local=False,
+                                    link=(src, dst), delay_ms=delay,
+                                    cross_dc=cross_dc))
+        return delay, cross_dc
 
     def _deliver(self, message: "Message", delay: float = 0.0,
                  cross_dc: bool = False,
@@ -210,9 +217,9 @@ class Network:
         a reliable exchange that bypasses inboxes: the caller decides
         what the answer *means* by reading the remote site's WAL, so no
         payload needs routing, but the message costs are real -- two
-        commit-class messages, four MsgCPU services, and (under a WAN
-        cost model) one full wire round trip, so recovery time scales
-        with the link RTT.  Inquiries are retried by the protocol layer
+        commit-class messages, four MsgCPU services, and (on a WAN) one
+        full wire round trip, so recovery time scales with the link
+        RTT.  Inquiries are retried by the protocol layer
         until they succeed, which is why they are not subject to
         stochastic loss (topology or injected).
 
@@ -222,46 +229,23 @@ class Network:
         ``partition`` drop is recorded), the round trip returns False,
         and the caller must back off and retry after heal.
         """
-        from repro.db.messages import Message, MessageKind
-
         own_site = agent.site
-        bus = self.bus
+        txn = agent.txn
         if own_site.site_id == remote_site.site_id:
             # Same-site inquiry (master probing its local cohort's WAL):
             # free and instantaneous, but still two traced messages.
-            self.local_messages += 2
-            send_subs = bus.has_subscribers(EventKind.MSG_SEND)
-            deliver_subs = bus.has_subscribers(EventKind.MSG_DELIVER)
-            if send_subs or deliver_subs:
-                link = (own_site.site_id, own_site.site_id)
-                for kind in (MessageKind.STATUS_INQ,
-                             MessageKind.STATUS_ACK):
-                    message = Message(kind, agent, agent, agent.txn.txn_id,
-                                      agent.txn.incarnation)
-                    if send_subs:
-                        bus.publish(MessageSend(self.env.now, message,
-                                                local=True, link=link))
-                    if deliver_subs:
-                        bus.publish(MessageDeliver(self.env.now, message,
-                                                   link=link))
+            for kind in (MessageKind.STATUS_INQ, MessageKind.STATUS_ACK):
+                self._hand_over(Message(kind, agent, agent, txn.txn_id,
+                                        txn.incarnation), own_site.site_id)
             return True
-        cost = self.cost
-        for kind in (MessageKind.STATUS_INQ, MessageKind.STATUS_ACK):
-            message = Message(kind, agent, agent, agent.txn.txn_id,
-                              agent.txn.incarnation)
-            self.messages_sent += 1
-            agent.txn.messages_commit += 1
-            send_site, recv_site = ((own_site, remote_site)
-                                    if kind is MessageKind.STATUS_INQ
-                                    else (remote_site, own_site))
+        for send_site, recv_site, kind in (
+                (own_site, remote_site, MessageKind.STATUS_INQ),
+                (remote_site, own_site, MessageKind.STATUS_ACK)):
+            message = Message(kind, agent, agent, txn.txn_id,
+                              txn.incarnation)
             src = send_site.site_id
             dst = recv_site.site_id
-            delay, cross_dc = ((0.0, False) if cost is None
-                               else self._wire(message, cost, src, dst))
-            if bus.has_subscribers(EventKind.MSG_SEND):
-                bus.publish(MessageSend(self.env.now, message, local=False,
-                                        link=(src, dst), delay_ms=delay,
-                                        cross_dc=cross_dc))
+            delay, cross_dc = self._put_on_link(message, src, dst)
             yield from send_site.message_cpu(self.msg_cpu_ms)
             if self.faults is not None \
                     and self.faults.link_severed(src, dst):
@@ -272,24 +256,11 @@ class Network:
             if delay > 0.0:
                 yield self.env.timeout(delay)
             yield from recv_site.message_cpu(self.msg_cpu_ms)
-            if bus.has_subscribers(EventKind.MSG_DELIVER):
-                bus.publish(MessageDeliver(self.env.now, message,
-                                           link=(src, dst), delay_ms=delay,
-                                           cross_dc=cross_dc))
+            if self.bus.has_subscribers(EventKind.MSG_DELIVER):
+                self.bus.publish(MessageDeliver(
+                    self.env.now, message, link=(src, dst),
+                    delay_ms=delay, cross_dc=cross_dc))
         return True
-
-    @staticmethod
-    def _count_for_transaction(message: "Message") -> None:
-        if message.kind is MessageKind.REPLICA_UPDATE:
-            # Post-commit replica propagation: accounted on the system's
-            # replication counters, not the transaction's commit-protocol
-            # overheads (which reproduce the paper's Tables 3 and 4).
-            return
-        txn = message.sender.txn
-        if message.kind.is_execution:
-            txn.messages_execution += 1
-        else:
-            txn.messages_commit += 1
 
     def __repr__(self) -> str:
         return f"<Network msg_cpu={self.msg_cpu_ms}ms sent={self.messages_sent}>"

@@ -16,7 +16,7 @@ from repro.db.deadlock import WaitForGraph
 from repro.db.network import Network
 from repro.db.pages import PageDirectory, ReplicaDirectory
 from repro.db.site import Site
-from repro.db.topology import build_cost_model
+from repro.db.topology import WanTopology
 from repro.db.transaction import (
     AbortReason,
     CohortAgent,
@@ -168,13 +168,15 @@ class DistributedSystem:
                 cancel=self._on_load_control_cancel)
             self.admission.subscribe(self.bus)
         self.wfg = WaitForGraph(on_victim=self._on_deadlock_victim)
-        # Wire plane: no topology keeps the zero-consult hot path; the
-        # ``uniform`` spec exercises the LanSwitch indirection
-        # (byte-identical); multi-DC specs pay per-link wire costs with
-        # all jitter/loss draws on dedicated ``topology-link-*`` RNG
-        # substreams (covered by soak checkpoints automatically).
-        self.cost_model = build_cost_model(
-            params.network_topology, params.num_sites, self.streams)
+        # Wire plane: only a spec that places sites in datacenters
+        # builds one (``uniform`` is the paper's free switch, as is no
+        # topology); its jitter/loss draws use dedicated
+        # ``topology-link-*`` RNG substreams (covered by soak
+        # checkpoints automatically).
+        topology = params.network_topology
+        self.cost_model = (
+            None if topology is None or topology.is_uniform
+            else WanTopology(topology, params.num_sites, self.streams))
         self.network = Network(self.env, params.msg_cpu_ms, bus=self.bus,
                                cost_model=self.cost_model)
         # Replication plane: None (or R=1) keeps the strictly

@@ -1,4 +1,4 @@
-"""Network topology and the pluggable message cost model.
+"""Network topology and the WAN wire.
 
 The paper models the network as a zero-latency LAN switch: only the
 per-end MsgCPU cost matters (Section 4).  Production traffic crosses
@@ -13,20 +13,17 @@ This module layers that in without touching the paper's model:
   plus a per-link one-way latency/jitter/loss description, parseable
   from a CLI string (``uniform``, ``dcs:2x4:rtt_ms=40``, or an explicit
   ``matrix:...`` form).  ``uniform`` is the paper-faithful default.
-- :class:`CostModel` is the protocol :meth:`repro.db.network.Network.send`
-  consults per remote message for wire delay and stochastic wire loss.
-- :class:`LanSwitch` implements the paper's switch (zero delay, no
-  loss); runs configured with the ``uniform`` topology are byte-identical
-  to runs with no topology at all.
-- :class:`WanTopology` realizes a multi-datacenter spec: intra-DC links
-  stay cheap, cross-DC links pay ``rtt_ms / 2`` one-way (plus optional
-  exponential jitter and loss), with every draw taken from a dedicated
-  per-link RNG substream so trajectories are reproducible and soak
-  checkpoints capture the streams automatically.
+- :class:`WanTopology` is the wire :meth:`repro.db.network.Network.send`
+  consults per remote message, built only for a spec that places sites
+  in datacenters (``uniform`` and no topology build none): intra-DC
+  links stay cheap, cross-DC links pay ``rtt_ms / 2`` one-way (plus
+  optional exponential jitter and loss), with every draw taken from a
+  dedicated per-link RNG substream so trajectories are reproducible and
+  soak checkpoints capture the streams automatically.
 
-The cost model *composes with* the fault injector: topology latency and
-loss apply first (the healthy wire), then the injector's per-kind delay
-and loss hooks stack on top (the unhealthy one).
+The fault injector *composes with* the wire: topology latency and loss
+apply first (the healthy wire), then the fault plan's ``loss`` and
+``delay`` directives stack on top (the unhealthy one).
 """
 
 from __future__ import annotations
@@ -165,14 +162,11 @@ class NetworkTopology:
 
     def latency_matrix(self, num_sites: int,
                        ) -> tuple[tuple[float, ...], ...]:
-        """One-way base latency per (sender, receiver) site pair."""
-        self.check_num_sites(num_sites)
+        """One-way base latency per (sender, receiver) site pair of a
+        spec that places sites in datacenters."""
+        placement = self.placement(num_sites)
         if self.kind is TopologyKind.MATRIX:
             return self.matrix
-        placement = self.placement(num_sites)
-        if placement is None:
-            return tuple(tuple(0.0 for _ in range(num_sites))
-                         for _ in range(num_sites))
         one_way = self.rtt_ms / 2.0
         return tuple(
             tuple(0.0 if src == dst
@@ -250,52 +244,6 @@ class NetworkTopology:
         return f"matrix over {len(self.matrix)} sites" + extras
 
 
-# ----------------------------------------------------------------------
-# Cost models (the layer Network.send consults)
-# ----------------------------------------------------------------------
-class CostModel(typing.Protocol):
-    """Per-remote-message wire costs the network consults on send.
-
-    ``placement`` is the site -> datacenter map (None when the model has
-    no datacenter structure); the network uses it to classify traffic as
-    intra- vs cross-DC for the metrics layer.
-    """
-
-    placement: tuple[int, ...] | None
-
-    def wire_delay(self, src_site: int, dst_site: int) -> float:
-        """Wire latency in ms for one message on this link."""
-        ...  # pragma: no cover - protocol
-
-    def lose(self, src_site: int, dst_site: int) -> bool:
-        """Draw whether the message is lost on the (healthy) wire."""
-        ...  # pragma: no cover - protocol
-
-
-class LanSwitch:
-    """The paper's switch: zero wire latency, perfectly reliable.
-
-    Configuring the ``uniform`` topology routes every send through this
-    model; trajectories are byte-identical to a run with no cost model
-    at all (pinned by tests and the golden fixture), and the consult
-    overhead is gated at <= 2% by ``scripts/bench_trajectory.py``.
-    """
-
-    placement = None
-
-    def wire_delay(self, src_site: int, dst_site: int) -> float:
-        return 0.0
-
-    def lose(self, src_site: int, dst_site: int) -> bool:
-        return False
-
-    def describe(self) -> str:
-        return "uniform"
-
-    def __repr__(self) -> str:
-        return "<LanSwitch>"
-
-
 class WanTopology:
     """A resolved multi-datacenter topology paying per-link wire costs.
 
@@ -309,7 +257,6 @@ class WanTopology:
     def __init__(self, topology: NetworkTopology, num_sites: int,
                  streams: "RandomStreams") -> None:
         topology.validate()
-        topology.check_num_sites(num_sites)
         self.topology = topology
         self.placement = topology.placement(num_sites)
         self._latency = topology.latency_matrix(num_sites)
@@ -328,9 +275,7 @@ class WanTopology:
         return rng
 
     def is_cross_dc(self, src_site: int, dst_site: int) -> bool:
-        placement = self.placement
-        assert placement is not None
-        return placement[src_site] != placement[dst_site]
+        return self.placement[src_site] != self.placement[dst_site]
 
     def wire_delay(self, src_site: int, dst_site: int) -> float:
         delay = self._latency[src_site][dst_site]
@@ -352,17 +297,3 @@ class WanTopology:
     def __repr__(self) -> str:
         return f"<WanTopology {self.describe()}>"
 
-
-def build_cost_model(topology: NetworkTopology | None, num_sites: int,
-                     streams: "RandomStreams") -> CostModel | None:
-    """The cost model a system should run (None = no indirection at all).
-
-    No topology keeps the historical zero-consult hot path; ``uniform``
-    routes through :class:`LanSwitch` (byte-identical, gated overhead);
-    anything else pays real wire costs via :class:`WanTopology`.
-    """
-    if topology is None:
-        return None
-    if topology.is_uniform:
-        return LanSwitch()
-    return WanTopology(topology, num_sites, streams)

@@ -241,7 +241,7 @@ class MessageSend(SimEvent):
     #: (sender site, receiver site); None before the topology layer
     #: resolved it (local sends use the shared site id twice).
     link: tuple[int, int] | None = None
-    #: wire latency charged to this message by the active cost model
+    #: wire latency charged to this message by the WAN wire
     #: (0 on the paper's zero-latency switch; excludes fault delays).
     delay_ms: float = 0.0
     #: True when the link crosses datacenters under the active topology.

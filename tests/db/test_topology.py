@@ -1,4 +1,4 @@
-"""Tests for the network topology layer and pluggable cost models."""
+"""Tests for the network topology layer and the WAN wire."""
 
 import dataclasses
 import json
@@ -10,13 +10,7 @@ from repro.config import ModelParams, Topology
 from repro.core import create_protocol
 from repro.db.messages import Message, MessageKind
 from repro.db.system import DistributedSystem
-from repro.db.topology import (
-    LanSwitch,
-    NetworkTopology,
-    TopologyKind,
-    WanTopology,
-    build_cost_model,
-)
+from repro.db.topology import NetworkTopology, TopologyKind, WanTopology
 from repro.obs.events import EventKind
 from repro.obs.recorder import EventLog
 from repro.sim.rng import RandomStreams
@@ -120,24 +114,9 @@ class TestSpecResolution:
 
 
 # ----------------------------------------------------------------------
-# Cost models
+# The WAN wire
 # ----------------------------------------------------------------------
 class TestCostModels:
-    def test_lan_switch_is_free(self):
-        model = LanSwitch()
-        assert model.placement is None
-        assert model.wire_delay(0, 5) == 0.0
-        assert not model.lose(0, 5)
-
-    def test_build_cost_model_dispatch(self):
-        streams = RandomStreams(1)
-        assert build_cost_model(None, 8, streams) is None
-        assert isinstance(build_cost_model(
-            NetworkTopology.parse("uniform"), 8, streams), LanSwitch)
-        assert isinstance(build_cost_model(
-            NetworkTopology.parse("dcs:2x4:rtt_ms=40"), 8, streams),
-            WanTopology)
-
     def test_wan_delay_and_classification(self):
         wan = WanTopology(NetworkTopology.parse("dcs:2x2:rtt_ms=40"),
                           4, RandomStreams(1))
@@ -207,6 +186,8 @@ class TestNetworkWithTopology:
 
     def test_cross_dc_counters_and_events(self):
         system = _wan_system("dcs:2x2:rtt_ms=40", num_sites=4)
+        assert isinstance(system.cost_model, WanTopology)
+        assert system.network.cost is system.cost_model
         txn = FakeTransaction()
         sender = FakeAgent(system, 0, txn)
         local_peer = FakeAgent(system, 1, txn)     # same DC
@@ -399,7 +380,8 @@ def _as_plain(result):
 
 class TestEndToEnd:
     def test_uniform_topology_is_byte_identical(self):
-        """The LanSwitch indirection must not perturb trajectories."""
+        """``uniform`` is the paper's switch: it must not perturb
+        trajectories."""
         baseline = repro.simulate("2PC", mpl=2, measured_transactions=80)
         uniform = repro.simulate(
             "2PC", mpl=2, measured_transactions=80,

@@ -63,6 +63,22 @@ class TestConstruction:
         assert all(isinstance(d, InfiniteServer)
                    for d in system.sites[0].data_disks)
 
+    def test_inactive_planes_build_nothing(self):
+        """A plane that is present but inactive builds nothing, so the
+        run takes the same path as a run without it."""
+        from repro.db.pages import PageDirectory
+        from repro.faults import FaultConfig
+
+        system = repro.build_system(
+            "2PC", faults=FaultConfig(),
+            network_topology=repro.NetworkTopology.parse("uniform"),
+            replication=repro.ReplicationSpec(1))
+        assert system.faults is None
+        assert system.cost_model is None
+        assert system.network.cost is None
+        assert type(system.directory) is PageDirectory
+        assert system.replicas is None
+
     def test_protocol_bound_to_system(self):
         system = small_system()
         assert system.protocol.system is system
