@@ -107,9 +107,10 @@ class FaultPlan:
     directive per site, in site order.  Each stochastic directive draws
     its cycle lazily from its own stream (:attr:`RegionDirective.
     stream_name`), so outages are independent and the draw order cannot
-    depend on event-loop interleaving; message-loss and message-delay
-    draws come from ``faults-msgloss`` / ``faults-msgdelay`` in network
-    send order (itself deterministic).
+    depend on event-loop interleaving; a second stochastic directive on
+    one target would share that stream, and is rejected.  Message-loss
+    and message-delay draws come from ``faults-msgloss`` /
+    ``faults-msgdelay`` in network send order (itself deterministic).
     """
 
     def __init__(self, config: FaultConfig, streams: "RandomStreams",
@@ -133,6 +134,13 @@ class FaultPlan:
                     f"system only has {num_sites} "
                     f"(directive: {directive.describe()})")
             directives.append(directive)
+        stochastic = [d.stream_name for d in directives if d.mttf_ms > 0]
+        for name in stochastic:
+            if stochastic.count(name) > 1:
+                raise ValueError(
+                    f"two stochastic directives would draw their cycles "
+                    f"from one stream ({name}); a plan takes at most one "
+                    f"per site, datacenter or link group")
         self.directives = tuple(directives)
         loss = next((d for d in directives if d.kind == "loss"), None)
         delay = next((d for d in directives if d.kind == "delay"), None)

@@ -25,11 +25,12 @@ on the directive's own RNG stream, named in brackets):
 One overlap rule covers every crash: an onset that finds its site down
 does not take it (a skipped stochastic ``site_crash`` skips its downtime
 too), and a directive recovers only the sites it took down.  Overlapping
-severs of one link group nest.  The plan text does not know the system:
-sites are checked against it, and datacenters against the topology's
-site -> datacenter placement (so ``dc_crash`` and ``partition`` need a
-multi-DC ``--topology``), when the injector wires up; a mismatch is a
-configuration error (a CLI ``error:`` exit).
+severs of one link group nest.  Scheduled outages may repeat a target;
+stochastic ones may not, as each target has one stream.  The plan text
+does not know the system: sites are checked against it, and datacenters
+against the topology's site -> datacenter placement (so ``dc_crash``
+and ``partition`` need a multi-DC ``--topology``), when the injector
+wires up; a mismatch is a configuration error (a CLI ``error:`` exit).
 """
 
 from __future__ import annotations

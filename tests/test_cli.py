@@ -112,6 +112,11 @@ class TestFaultFlags:
          "error: a plan takes at most one loss directive (it draws from "
          "one stream)"),
         (["--faults", "--mttf-ms", "-5"], "error: mttf_ms must be >= 0"),
+        (["--faults", "--mttf-ms", "20000",
+          "--fault-plan", "site_crash:*:mttf=20000:mttr=2000"],
+         "error: two stochastic directives would draw their cycles from "
+         "one stream (faults-site-0); a plan takes at most one per site, "
+         "datacenter or link group"),
     ])
     def test_bad_faults_are_cli_errors(self, argv, first_line):
         code, text = run_cli("simulate", "2PC", "--transactions", "10",

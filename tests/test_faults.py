@@ -169,6 +169,19 @@ class TestFaultPlan:
             (0, True), (1, True), (2, True)]
         assert {d.mttf_ms for d in plan.directives[:3]} == {1_000.0}
 
+    def test_a_stochastic_target_takes_one_stream(self):
+        # Written twice, one site's two cycles would share one stream.
+        repeat = "site_crash:0:mttf=1000:mttr=100"
+        with pytest.raises(ValueError, match=r"one stream \(faults-site-0\)"):
+            _fault_plan(f"{repeat},{repeat}")
+        with pytest.raises(ValueError, match=r"\(faults-dc-1\)"):
+            _fault_plan("dc_crash:1:mttf=1000:mttr=100,"
+                        "dc_crash:1:mttf=500:mttr=50")
+        # Scheduled repeats stay allowed (the overlap rule covers them).
+        plan = _fault_plan(f"{repeat},site_crash:0:at=5:for=1,"
+                           "site_crash:0:at=9:for=1")
+        assert len(plan.directives) == 3
+
     def test_loss_and_delay_draw_from_their_own_streams(self):
         plan = _fault_plan("loss:0.3,delay:30", seed=5)
         loss = RandomStreams(5).stream("faults-msgloss")
