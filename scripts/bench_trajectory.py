@@ -55,23 +55,21 @@ SMOKE_CEIL_FAULT_OVERHEAD = 1.10
 #: open point must clear the same order-of-magnitude floor as the
 #: closed end-to-end run.
 SMOKE_FLOOR_OPEN_TXNS_PER_SEC = 100.0
-#: The ``uniform`` topology routes every remote send through the
-#: LanSwitch cost model -- two extra method calls per message against
-#: the no-topology hot path, nothing else (no RNG draws, no counters,
-#: byte-identical trajectories, asserted below).  The true overhead is
-#: ~0-1% (full-bench pairs), but like ``fault_overhead`` above the
-#: ~75 ms smoke samples jitter several percent on shared/virtualized
-#: 1-core runners (host steal moves even a median-of-15-pairs ratio
-#: past 1.02x -- observed up to 1.13x on an otherwise idle guest), so
-#: the gate flags structural regressions only; the full bench remains
-#: the precision measurement.
+#: The ``uniform`` topology builds no wire, exactly like no topology:
+#: both runs take the one send path (no RNG draws, no extra kernel
+#: events, byte-identical trajectories, asserted below), so the true
+#: ratio is 1.00x.  Like ``fault_overhead`` above, the ~75 ms smoke
+#: samples jitter several percent on shared/virtualized 1-core runners
+#: (host steal moves even a median-of-15-pairs ratio past 1.02x --
+#: observed up to 1.13x on an otherwise idle guest), so the gate flags
+#: structural regressions only (a wire built for ``uniform``); the full
+#: bench remains the precision measurement.
 SMOKE_CEIL_COST_MODEL_OVERHEAD = 1.10
-#: Replication factor 1 keeps the historical partitioned layout: the
-#: replica directory resolves every page to a single site and the
-#: commit path ships nothing, so the only added cost is the directory
-#: subclass's placement lookup.  Byte-identical trajectories (asserted
-#: below); same median-of-adjacent-pairs discipline and jitter-driven
-#: ceiling as the cost-model and partition gates.
+#: Replication factor 1 builds the plain PageDirectory, exactly like no
+#: replication (``ReplicationSpec.is_active`` is ``factor > 1``): one
+#: code path, byte-identical trajectories (asserted below).  Same
+#: median-of-adjacent-pairs discipline and jitter-driven ceiling as the
+#: cost-model and partition gates.
 SMOKE_CEIL_REPLICATION_OVERHEAD = 1.10
 #: A WAN grid point adds per-message wire timeouts and delivery
 #: processes on the same kernel; it must clear the same
@@ -109,7 +107,7 @@ def _best_of(fn, repeats: int) -> tuple[float, object]:
 
 
 # ----------------------------------------------------------------------
-# Kernel micro group (mirrors benchmarks/bench_kernel_micro.py)
+# Kernel micro group
 # ----------------------------------------------------------------------
 def bench_event_loop(events: int, repeats: int) -> dict:
     from repro.sim import Environment
@@ -201,6 +199,30 @@ def bench_lock_grant_release(cycles: int, repeats: int) -> dict:
     wall, count = _best_of(run, repeats)
     assert count == cycles
     return {"wall_s": wall, "cycles": cycles, "cycles_per_sec": cycles / wall}
+
+
+def bench_condition_events(waits: int, repeats: int) -> dict:
+    """``AllOf`` fan-in, including the single-child path."""
+    from repro.sim import Environment
+
+    def run():
+        env = Environment()
+        fired = []
+
+        def waiter(env):
+            for _ in range(waits):
+                pair = yield env.all_of([env.timeout(1.0, value="a"),
+                                         env.timeout(1.0, value="b")])
+                solo = yield env.all_of([env.timeout(1.0, value="c")])
+                fired.append(len(pair) + len(solo))
+
+        env.process(waiter(env))
+        env.run()
+        return sum(fired)
+
+    wall, total = _best_of(run, repeats)
+    assert total == 3 * waits
+    return {"wall_s": wall, "waits": waits, "waits_per_sec": waits / wall}
 
 
 def bench_bus_overhead(operations: int, repeats: int) -> dict:
@@ -343,15 +365,14 @@ def bench_inactive_planes(transactions: int, repeats: int) -> dict:
     inactive (see the ``SMOKE_CEIL_*_OVERHEAD`` notes above):
 
     - ``fault_overhead``: ``faults=None`` vs an inactive FaultConfig;
-    - ``cost_model_overhead``: no topology (the zero-consult hot path)
-      vs the ``uniform`` topology, which routes every remote send
-      through the LanSwitch;
+    - ``cost_model_overhead``: no topology vs the ``uniform``
+      topology, which builds no wire either (one send path);
     - ``partition_overhead``: an armed injector (a crash far past the
       end of the run) on a 2x2-DC topology vs the same plus a
       far-future region plan, which adds the ``link_severed`` probe to
       every remote send -- only the plan differs;
-    - ``replication_overhead``: the historical PageDirectory vs
-      replication factor 1 (a ReplicaDirectory of one-site replica sets).
+    - ``replication_overhead``: no replication vs replication factor
+      1, which builds the same plain PageDirectory.
 
     Each row also records the plane's extra kernel events, asserted
     exactly: 0, except 2 for the far-future region plan (its driver's
@@ -521,12 +542,14 @@ def main(argv=None) -> int:
 
     if args.smoke:
         sizes = dict(events=5_000, processes=2_000, cycles=1_000,
-                     bus_ops=50_000, transactions=60, repeats=1)
+                     waits=1_000, bus_ops=50_000, transactions=60,
+                     repeats=1)
         sweep_txns, sweep_mpls = 30, (1, 2)
         soak_small, soak_large = 1_000, 10_000
     else:
         sizes = dict(events=20_000, processes=5_000, cycles=2_000,
-                     bus_ops=200_000, transactions=300, repeats=3)
+                     waits=1_000, bus_ops=200_000, transactions=300,
+                     repeats=3)
         sweep_txns, sweep_mpls = 120, (1, 2)
         soak_small, soak_large = 10_000, 100_000
 
@@ -537,6 +560,8 @@ def main(argv=None) -> int:
                                                    sizes["repeats"]),
         "lock_grant_release": bench_lock_grant_release(sizes["cycles"],
                                                        sizes["repeats"]),
+        "condition_events": bench_condition_events(sizes["waits"],
+                                                   sizes["repeats"]),
         "bus_overhead": bench_bus_overhead(sizes["bus_ops"],
                                            sizes["repeats"]),
         "end_to_end": bench_end_to_end(sizes["transactions"],
@@ -620,7 +645,7 @@ def main(argv=None) -> int:
         if kernel["cost_model_overhead"]["overhead_ratio"] > \
                 SMOKE_CEIL_COST_MODEL_OVERHEAD:
             failures.append(
-                f"LanSwitch cost-model indirection above ceiling: "
+                f"uniform topology above ceiling: "
                 f"{kernel['cost_model_overhead']['overhead_ratio']:.3f}x "
                 f"> {SMOKE_CEIL_COST_MODEL_OVERHEAD}x plain")
         if kernel["partition_overhead"]["overhead_ratio"] > \

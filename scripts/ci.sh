@@ -70,16 +70,21 @@ fi
 echo "== soak-resume check (checkpoint byte-identity) =="
 python scripts/soak_resume_check.py
 
+# The benchmark's own tests (pytest's testpaths cover only tests/):
+# inactive planes do no extra kernel work, counters repeat.
+echo "== perfbench tests =="
+python -m pytest -q perfbench/tests
+
 # Perf floors: kernel micros, end-to-end txn rate, idle-bus/fault
-# overhead ceilings, the LanSwitch cost-model indirection ceiling
-# (uniform topology vs the no-topology hot path), the
+# overhead ceilings, the uniform-topology ceiling (uniform vs no
+# topology, neither of which builds a wire), the
 # inactive-partition-plane ceiling (far-future region plan vs the
 # armed-injector baseline), the inactive-replication ceiling
-# (factor 1 vs the historical directory) -- all three smoke-gated at
-# 1.10x for shared-runner jitter, ~1.00x on the full bench -- plus the
-# WAN-point floor, the flat-RSS soak-memory ceiling, and the
-# warm-pool sweep-scaling floor (speedup_vs_serial["4"] >= 1.5 --
-# auto-skipped on < 4-core runners).
+# (factor 1 vs no replication, both the plain PageDirectory) -- all
+# three smoke-gated at 1.10x for shared-runner jitter, ~1.00x on the
+# full bench -- plus the WAN-point floor, the flat-RSS soak-memory
+# ceiling, and the warm-pool sweep-scaling floor
+# (speedup_vs_serial["4"] >= 1.5 -- auto-skipped on < 4-core runners).
 echo "== benchmark smoke (perf floors) =="
 python scripts/bench_trajectory.py --smoke
 
