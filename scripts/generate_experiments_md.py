@@ -242,9 +242,9 @@ COMMENTARY: dict[str, tuple[str, str, str]] = {
         "transactions (ceiling 1.25x, gated by "
         "`scripts/bench_trajectory.py --smoke`).  "
         "(7) `repro.db.topology` + the `wan` preset "
-        "(`repro-commit wan`, `--topology` on every run mode): a "
-        "pluggable network cost model prices the wire per directed "
-        "link — `uniform` reproduces the paper's zero-latency switch "
+        "(`repro-commit wan`, `--topology` on every run mode): a WAN "
+        "wire prices each directed link — `uniform` reproduces the "
+        "paper's zero-latency switch "
         "byte-identically, `dcs:<D>x<S>:rtt_ms=<ms>` splits the sites "
         "into datacenters whose cross-DC links pay rtt/2 one-way "
         "(plus optional jitter/loss), and the metrics layer counts "
@@ -260,9 +260,10 @@ COMMENTARY: dict[str, tuple[str, str, str]] = {
         "links entirely.  The fault injector stacks on top of the "
         "topology (injected delay/loss add to the healthy wire's; "
         "a site that crashes mid-flight still eats the message after "
-        "the link delay), `uniform` trajectories stay byte-identical "
-        "to the golden fixture, and the cost-model indirection is "
-        "gated at ≤2% (`tests/db/test_topology.py`, "
+        "the link delay), and `uniform` builds no wire at all: it "
+        "runs the same send path as no topology, byte-identical to "
+        "the golden fixture, with its wall-clock ratio smoke-gated "
+        "at ≤1.10x (`tests/db/test_topology.py`, "
         "`scripts/bench_trajectory.py --smoke`).  "
         "(8) `repro.faults` region plans + the `region-outage` "
         "preset (`repro-commit region-outage`, `--fault-plan` on "
