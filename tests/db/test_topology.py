@@ -117,6 +117,44 @@ class TestSpecResolution:
 # The WAN wire
 # ----------------------------------------------------------------------
 class TestCostModels:
+    def test_lan_switch_is_free(self):
+        # ``uniform`` is the paper's free switch: no wire is built, and a
+        # remote message pays only the MsgCPU at each end.
+        system = _wan_system("uniform")
+        assert system.cost_model is None
+        assert system.network.cost is None
+        txn = FakeTransaction()
+        sender = FakeAgent(system, 0, txn)
+        receiver = FakeAgent(system, 1, txn)
+        done = _send(system, Message(MessageKind.PREPARE, sender, receiver,
+                                     txn.txn_id, 0))
+        arrived = []
+
+        def consumer(env):
+            yield receiver.inbox.get()
+            arrived.append(env.now)
+
+        system.env.process(consumer(system.env))
+        system.env.run()
+        assert done == [5.0]
+        assert arrived == [10.0]
+        assert system.network.intra_dc_messages == 0
+        assert system.network.cross_dc_messages == 0
+
+    def test_build_cost_model_dispatch(self):
+        # The system builds a wire only for a spec that places sites in
+        # datacenters; no topology and ``uniform`` both build none.
+        params = ModelParams(num_sites=8)
+        assert DistributedSystem(
+            params, create_protocol("2PC")).cost_model is None
+        for spec, wire in (("uniform", type(None)),
+                           ("dcs:2x4:rtt_ms=40", WanTopology),
+                           ("matrix:0,20;20,0", WanTopology)):
+            num_sites = 2 if spec.startswith("matrix") else 8
+            system = _wan_system(spec, num_sites=num_sites)
+            assert type(system.cost_model) is wire, spec
+            assert system.network.cost is system.cost_model, spec
+
     def test_wan_delay_and_classification(self):
         wan = WanTopology(NetworkTopology.parse("dcs:2x2:rtt_ms=40"),
                           4, RandomStreams(1))
