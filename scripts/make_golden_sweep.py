@@ -53,6 +53,10 @@ EXTENSION_GRIDS = [
     ("availability-tier1",
      ["availability", "--protocols", "2PC,PA,3PC", "--mttfs", "0,60000",
       "--msg-loss", "0.01", "--transactions", "40", "--seed", "5"]),
+    ("availability-presumption-tier1",
+     ["availability", "--protocols", "PA,PC,OPT-PA,OPT-PC,UV,EP",
+      "--mttfs", "0,10000", "--mttr-ms", "2000", "--msg-loss", "0.02",
+      "--transactions", "80", "--seed", "5"]),
     ("saturation-tier1",
      ["saturation", "--protocols", "2PC,OPT", "--rates", "1,4",
       "--skew", "hotspot:10:90", "--transactions", "60", "--seed", "3"]),

@@ -87,6 +87,9 @@ def fixture():
 
 EXTENSIONS = ("availability", "saturation", "wan", "region-outage",
               "replication")
+#: the reduced ``*-tier1`` grids: one per command, plus the presumption
+#: family (PA, PC, their OPT variants, UV and EP) under faults.
+TIER1_GRIDS = EXTENSIONS + ("availability-presumption",)
 
 
 def test_tier1_grid_matches_golden_fixture(fixture):
@@ -98,9 +101,9 @@ def test_tier2_full_protocol_grid_matches_golden_fixture(fixture):
     _check_grid(fixture["tier2"])
 
 
-@pytest.mark.parametrize("command", EXTENSIONS)
-def test_extension_sweep_matches_golden_fixture(fixture, command):
-    _check_extension(fixture[f"{command}-tier1"])
+@pytest.mark.parametrize("grid", TIER1_GRIDS)
+def test_extension_sweep_matches_golden_fixture(fixture, grid):
+    _check_extension(fixture[f"{grid}-tier1"])
 
 
 @pytest.mark.tier2
@@ -109,13 +112,12 @@ def test_extension_default_grid_matches_golden_fixture(fixture, grid):
     _check_extension(fixture[f"{grid}-tier2"])
 
 
-@pytest.mark.parametrize("command", EXTENSIONS)
-def test_extension_preset_on_the_pool_matches_golden_fixture(fixture,
-                                                              command):
-    entry = fixture[f"{command}-tier1"]
+@pytest.mark.parametrize("grid", TIER1_GRIDS)
+def test_extension_preset_on_the_pool_matches_golden_fixture(fixture, grid):
+    entry = fixture[f"{grid}-tier1"]
     settings = sweep_settings(build_parser().parse_args(entry["argv"]))
     labels = []
-    results = run_preset(command, progress=labels.append, jobs=2,
+    results = run_preset(entry["argv"][0], progress=labels.append, jobs=2,
                          **settings)
     assert sorted(labels) == sorted(entry["labels"])
     assert [_round_trip(point.result) for point in results.points.values()] \
