@@ -72,13 +72,6 @@ class WaitForGraph:
         if not counter:
             del self._adjacency[waiter]
 
-    def remove_transaction_waits(self, txn: "Transaction") -> None:
-        """Retract every edge where ``txn`` is the waiter."""
-        stale = [request for request, (waiter, _) in self._edges.items()
-                 if waiter is txn]
-        for request in stale:
-            self.clear_edges(request)
-
     # ------------------------------------------------------------------
     # Detection
     # ------------------------------------------------------------------

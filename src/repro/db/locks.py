@@ -244,6 +244,9 @@ class LockManager:
         # Withdraw a pending request, if any.
         request = self._waiting_requests.pop(cohort, None)
         if request is not None:
+            # Only this request's edges go: a sibling cohort of the same
+            # transaction may still wait at another site.
+            self.wfg.clear_edges(request)
             entry = self._entries.get(request.page)
             if entry is not None:
                 try:
@@ -265,7 +268,6 @@ class LockManager:
                 touched.append(page)
         cohort.held_locks.clear()
         cohort.lending_pages.clear()
-        self.wfg.remove_transaction_waits(cohort.txn)
         # Resolve borrowers (in deterministic order: set iteration order
         # would vary run to run).
         borrowers = sorted(self._borrows.pop(cohort, set()),

@@ -61,6 +61,20 @@ class TestBehaviour:
         two_pc = run_small("2PC", **contended)
         assert uv.block_ratio >= 0.9 * two_pc.block_ratio
 
+    @pytest.mark.parametrize("protocol, mpl, surprise, seed", [
+        ("EP", 3, 0.05, 3), ("UV", 6, 0.05, 3),
+        ("EP", 6, 0.2, 1), ("UV", 3, 0.2, 4)])
+    def test_surprise_aborts_leave_deadlocks_detectable(
+            self, protocol, mpl, surprise, seed):
+        """Regression: a cohort that votes NO aborts while its siblings
+        still execute; its lock release used to drop the siblings'
+        wait-for edges too, so a deadlock through one of them was never
+        detected and the run ran out of events."""
+        result = repro.simulate(protocol, mpl=mpl, seed=seed,
+                                measured_transactions=150,
+                                surprise_abort_prob=surprise)
+        assert result.committed >= 150
+
 
 class TestOptIncompatibility:
     def test_lending_subclass_rejected(self):

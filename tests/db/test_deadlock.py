@@ -1,7 +1,7 @@
 """Unit tests for the wait-for graph and deadlock resolution."""
 
 from repro.db.deadlock import WaitForGraph
-from repro.db.locks import LockMode
+from repro.db.locks import LockManager, LockMode
 
 from tests.db.conftest import FakeCohort, FakeTransaction, acquire_async, acquire_now
 
@@ -45,16 +45,6 @@ class TestEdgeMaintenance:
         assert wfg.blockers_of(a) == {b}  # second request still waits
         wfg.clear_edges(key2)
         assert wfg.blockers_of(a) == set()
-
-    def test_remove_transaction_waits(self, recorder):
-        wfg = WaitForGraph(on_victim=recorder.on_victim)
-        a, b, c = FakeTransaction(), FakeTransaction(), FakeTransaction()
-        wfg.set_edges(_Key(), a, {b})
-        wfg.set_edges(_Key(), a, {c})
-        wfg.set_edges(_Key(), b, {c})
-        wfg.remove_transaction_waits(a)
-        assert wfg.blockers_of(a) == set()
-        assert wfg.blockers_of(b) == {c}
 
     def test_empty_blockers_create_no_edges(self, recorder):
         wfg = WaitForGraph(on_victim=recorder.on_victim)
@@ -195,6 +185,22 @@ class TestIntegrationWithLockManager:
         assert wfg.blockers_of(victim) == set()
         # The survivor must have been granted page 2.
         assert lock_manager.holders_of(2) == {a2: LockMode.UPDATE}
+
+    def test_sibling_finalize_keeps_a_waiting_cohorts_edges(
+            self, env, wfg):
+        """A cohort that finalizes at one site (a UV NO vote, say) while
+        its sibling still waits at another must leave the sibling's
+        edges in the graph: a cycle through the sibling would otherwise
+        go undetected for good."""
+        site0, site1 = (LockManager(env, site_id, wfg) for site_id in (0, 1))
+        holder = FakeCohort(submit_time=1.0)
+        waiter = FakeCohort(submit_time=2.0)
+        sibling = FakeCohort(txn=waiter.txn)
+        acquire_now(env, site0, holder, 1, LockMode.UPDATE)
+        acquire_now(env, site1, sibling, 1, LockMode.UPDATE)
+        acquire_async(env, site0, waiter, 1, LockMode.UPDATE)
+        site1.finalize(sibling, committed=False)
+        assert wfg.blockers_of(waiter.txn) == {holder.txn}
 
     def test_no_false_deadlock_from_released_waiter(self, env, lock_manager,
                                                     recorder):
