@@ -22,6 +22,7 @@ import pytest
 import repro
 from repro.config import ModelParams
 from repro.db.messages import MessageKind
+from repro.db.transaction import CohortState
 from repro.db.wal import LogRecordKind
 from repro.experiments import run_preset
 from repro.experiments.runner import point_seed
@@ -473,6 +474,22 @@ class TestCrashOutcomeAccounting:
         # Each cohort releases its locks once, under one label.
         assert {key: labels for key, labels in releases.items()
                 if len(labels) > 1} == {}
+
+    @pytest.mark.parametrize("protocol, seed", [
+        ("LIN-2PC", 2), ("LIN-2PC", 3), ("LIN-2PC", 4),
+        ("OPT-LIN", 1), ("OPT-LIN", 4)])
+    def test_crashed_chain_master_reads_the_tails_commit(self, protocol,
+                                                         seed):
+        """Regression: a LIN-2PC master whose site crashed after the
+        chain tail forced COMMIT counted its incarnation aborted (and
+        the slot restarted it) although every cohort committed (LIN-2PC
+        seed 2: T45.1, T56.1 and T58.1)."""
+        _, _, log = _faulty_run(protocol, seed=seed, transactions=150,
+                                log_kinds=(EventKind.TXN_ABORT,))
+        assert log.events, "environment too mild: nothing aborted"
+        assert [event.txn.name for event in log.events
+                if all(cohort.state is CohortState.COMMITTED
+                       for cohort in event.txn.cohorts)] == []
 
 
 # ----------------------------------------------------------------------
