@@ -6,7 +6,9 @@ commit decision is presumed (PC), so commit needs neither cohort forced
 commit records nor acknowledgements.  The price is paid up front: the
 master must force its *collecting* (membership) record **before any
 cohort starts work**, because a cohort may enter the prepared state at
-any moment after that.
+any moment after that.  :class:`UnsolicitedVote` does all of this once
+``presumed = COMMITTED``: its ``master_begin`` forces the collecting
+record, and the decision round and recovery rule are presumed commit's.
 
 Committing-transaction counts at ``DistDegree = 3``:
 
@@ -23,73 +25,11 @@ must not be combined with OPT (Section 3.2).
 from __future__ import annotations
 
 from repro.core.unsolicited_vote import UnsolicitedVote
-from repro.db.messages import MessageKind
-from repro.db.transaction import (
-    CohortAgent,
-    CohortState,
-    MasterAgent,
-    TransactionOutcome,
-)
-from repro.db.wal import LogRecordKind
+from repro.db.transaction import TransactionOutcome
 
 
 class EarlyPrepare(UnsolicitedVote):
     """Unsolicited votes + presumed commit."""
 
     name = "EP"
-
-    def master_begin(self, master: MasterAgent):
-        # The membership record must be durable before any cohort can
-        # unilaterally enter the prepared state.
-        yield from master.force_log(LogRecordKind.COLLECTING)
-
-    def master_commit(self, master: MasterAgent):
-        master.prepared_cohorts = [
-            message.sender for message in master.early_votes
-            if message.kind is MessageKind.VOTE_YES]
-        no_votes = sum(1 for message in master.early_votes
-                       if message.kind is MessageKind.VOTE_NO)
-        all_yes = no_votes == 0 and (
-            len(master.prepared_cohorts) == len(master.cohorts))
-        if all_yes:
-            # Presumed commit: force the decision, tell the cohorts,
-            # expect no acknowledgements, write no end record.
-            yield from master.force_log(LogRecordKind.COMMIT)
-            for cohort in master.prepared_cohorts:
-                yield from master.send(MessageKind.COMMIT, cohort)
-            return TransactionOutcome.COMMITTED
-        # Aborts are presumed against: fully recorded and acknowledged.
-        yield from master.force_log(LogRecordKind.ABORT)
-        for cohort in master.prepared_cohorts:
-            yield from master.send(MessageKind.ABORT, cohort)
-        yield from self.collect_acks(master, MessageKind.ACK,
-                                     len(master.prepared_cohorts))
-        master.log(LogRecordKind.END)
-        return self.abort_outcome(master)
-
-    def cohort_commit(self, cohort: CohortAgent):
-        if cohort.state is not CohortState.PREPARED:
-            return  # voted NO; aborted unilaterally already
-        master = cohort.master
-        assert master is not None
-        message = yield from self.await_decision(
-            cohort, (MessageKind.COMMIT, MessageKind.ABORT))
-        if message is None:
-            return  # resolved through recovery
-        if message.kind is MessageKind.COMMIT:
-            cohort.log(LogRecordKind.COMMIT)   # not forced, no ACK
-            cohort.implement_commit()
-            return
-        assert message.kind is MessageKind.ABORT, message
-        yield from cohort.force_log(LogRecordKind.ABORT)
-        cohort.implement_abort()
-        yield from cohort.send(MessageKind.ACK, master)
-
-    def presumed_outcome(self, cohort: CohortAgent, kinds):
-        """EP inherits the presumed-commit reading: a stable collecting
-        record with no decision resolves to commit.  EP forces the
-        collecting record before work even starts, so this rule is laxer
-        than PC's (see docs/MODEL.md)."""
-        if LogRecordKind.COLLECTING in kinds:
-            return ("commit", "presumed-commit")
-        return ("abort", "no-collecting-record")
+    presumed = TransactionOutcome.COMMITTED

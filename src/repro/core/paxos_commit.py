@@ -233,9 +233,9 @@ class PaxosCommit(TwoPhaseCommit):
     # ------------------------------------------------------------------
     # Cohort side
     # ------------------------------------------------------------------
-    def cohort_vote(self, cohort: CohortAgent, no_vote_forced: bool,
+    def cohort_vote(self, cohort: CohortAgent,
                     ) -> typing.Generator[Event, typing.Any, str]:
-        vote = yield from super().cohort_vote(cohort, no_vote_forced)
+        vote = yield from super().cohort_vote(cohort)
         # Phase 2a to the remote acceptors (the master-site acceptor
         # already got this vote: the VOTE message *is* its 2a).  Votes
         # other than "no" accept the instance; "read_only" still closes

@@ -5,54 +5,21 @@ Identical to 2PC for committing transactions.  On the abort path the
 unnecessary:
 
 - cohorts do not acknowledge ABORT messages;
-- cohorts do not force their abort records;
+- cohorts do not force their abort records (a NO vote's included);
 - the master does not force its abort record and writes no end record.
+
+All of it is :class:`~repro.core.two_phase.TwoPhaseCommit`'s decision
+round and the base recovery rule, read with ``presumed = ABORTED``.
 """
 
 from __future__ import annotations
 
 from repro.core.two_phase import TwoPhaseCommit
-from repro.db.messages import MessageKind
-from repro.db.transaction import CohortAgent, MasterAgent
-from repro.db.wal import LogRecordKind
+from repro.db.transaction import TransactionOutcome
 
 
 class PresumedAbort(TwoPhaseCommit):
     """2PC with the presumed-abort optimization."""
 
     name = "PA"
-
-    def master_abort_phase(self, master: MasterAgent):
-        """Abort without forcing, without ACKs, without an end record."""
-        master.log(LogRecordKind.ABORT)
-        for cohort in master.prepared_cohorts:
-            yield from master.send(MessageKind.ABORT, cohort)
-
-    def cohort_commit(self, cohort: CohortAgent):
-        vote = yield from self.cohort_vote(cohort, no_vote_forced=False)
-        if vote != "yes":
-            return
-        yield from self.cohort_decision(cohort)
-
-    def cohort_decision(self, cohort: CohortAgent):
-        master = cohort.master
-        assert master is not None
-        message = yield from self.await_decision(
-            cohort, (MessageKind.COMMIT, MessageKind.ABORT))
-        if message is None:
-            return  # resolved through recovery
-        if message.kind is MessageKind.COMMIT:
-            # Commit path is exactly 2PC.
-            yield from cohort.force_log(LogRecordKind.COMMIT)
-            cohort.implement_commit()
-            yield from cohort.send(MessageKind.ACK, master)
-        else:
-            assert message.kind is MessageKind.ABORT, message
-            cohort.log(LogRecordKind.ABORT)
-            cohort.implement_abort()
-            # Presumed abort: no ACK for the abort decision.
-
-    def presumed_outcome(self, cohort, kinds):
-        """Presumed abort: no information at the coordinator means the
-        transaction aborted -- no inquiry escalation needed."""
-        return ("abort", "presumed-abort")
+    presumed = TransactionOutcome.ABORTED

@@ -12,6 +12,9 @@ committing transactions:
 Aborts, being now the unexpected outcome, must be fully recorded: the
 master forces its abort record, cohorts force theirs and acknowledge.
 
+All of it is :class:`~repro.core.two_phase.TwoPhaseCommit`'s decision
+round and the base recovery rule, read with ``presumed = COMMITTED``.
+
 Committing-transaction overheads at ``DistDegree = 3`` (paper Table 3):
 5 forced writes (collecting + 3 prepare + master commit) and 6 commit
 messages (2 PREPARE + 2 YES + 2 COMMIT).
@@ -19,71 +22,12 @@ messages (2 PREPARE + 2 YES + 2 COMMIT).
 
 from __future__ import annotations
 
-from repro.core.base import CohortGenerator, MasterGenerator
 from repro.core.two_phase import TwoPhaseCommit
-from repro.db.messages import MessageKind
-from repro.db.transaction import CohortAgent, MasterAgent, TransactionOutcome
-from repro.db.wal import LogRecordKind
+from repro.db.transaction import TransactionOutcome
 
 
 class PresumedCommit(TwoPhaseCommit):
     """2PC with the presumed-commit optimization."""
 
     name = "PC"
-
-    def master_commit(self, master: MasterAgent) -> MasterGenerator:
-        # The collecting record (cohort roster) must be stable before
-        # any cohort can enter the prepared state.
-        yield from master.force_log(LogRecordKind.COLLECTING)
-        all_yes = yield from self.collect_votes(master)
-        if all_yes:
-            yield from self.master_commit_phase(master)
-            return TransactionOutcome.COMMITTED
-        yield from self.master_abort_phase(master)
-        return self.abort_outcome(master)
-
-    def master_commit_phase(self, master: MasterAgent):
-        """Force the commit record and notify; no ACKs, no end record."""
-        yield from master.force_log(LogRecordKind.COMMIT)
-        for cohort in master.prepared_cohorts:
-            yield from master.send(MessageKind.COMMIT, cohort)
-
-    # master_abort_phase is inherited from 2PC: abort is the presumed-
-    # against outcome, so it is forced and acknowledged, and the master
-    # writes an end record once all ACKs arrive.
-
-    def cohort_commit(self, cohort: CohortAgent) -> CohortGenerator:
-        vote = yield from self.cohort_vote(cohort, no_vote_forced=True)
-        if vote != "yes":
-            return
-        yield from self.cohort_decision(cohort)
-
-    def cohort_decision(self, cohort: CohortAgent):
-        master = cohort.master
-        assert master is not None
-        message = yield from self.await_decision(
-            cohort, (MessageKind.COMMIT, MessageKind.ABORT))
-        if message is None:
-            return  # resolved through recovery
-        if message.kind is MessageKind.COMMIT:
-            # Presumed commit: non-forced commit record, no ACK.
-            cohort.log(LogRecordKind.COMMIT)
-            cohort.implement_commit()
-        else:
-            assert message.kind is MessageKind.ABORT, message
-            yield from cohort.force_log(LogRecordKind.ABORT)
-            cohort.implement_abort()
-            yield from cohort.send(MessageKind.ACK, master)
-
-    def presumed_outcome(self, cohort, kinds):
-        """Presumed commit: a stable *collecting* record with no decision
-        resolves to commit.
-
-        This is the cost-model reading of the PC recovery rule (see
-        docs/MODEL.md, "Failure model & recovery", for how it diverges
-        from a production PC implementation).  Without even a collecting
-        record the coordinator never started the protocol, so abort.
-        """
-        if LogRecordKind.COLLECTING in kinds:
-            return ("commit", "presumed-commit")
-        return ("abort", "no-collecting-record")
+    presumed = TransactionOutcome.COMMITTED

@@ -58,7 +58,7 @@ class ThreePhaseCommit(TwoPhaseCommit):
         return TransactionOutcome.COMMITTED
 
     def cohort_commit(self, cohort: CohortAgent) -> CohortGenerator:
-        vote = yield from self.cohort_vote(cohort, no_vote_forced=True)
+        vote = yield from self.cohort_vote(cohort)
         if vote != "yes":
             return
         master = cohort.master

@@ -3,8 +3,9 @@
 In UV (distributed INGRES, Stonebraker 1979) a cohort enters the
 prepared state *unilaterally* when it finishes its work: it force-writes
 its prepare record and its YES vote rides on the work-completion report,
-eliminating the master's PREPARE round entirely.  The decision phase is
-standard 2PC.
+eliminating the master's PREPARE round entirely.  The decision round is
+:class:`~repro.core.two_phase.TwoPhaseCommit`'s, inherited as is; with
+``presumed = COMMITTED`` this class is Early Prepare.
 
 Committing-transaction message counts at ``DistDegree = 3``: the two
 PREPARE messages disappear and the two votes *are* the completion
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 import typing
 
-from repro.core.base import CohortGenerator, CommitProtocol, MasterGenerator
+from repro.core.base import CohortGenerator, MasterGenerator
+from repro.core.two_phase import TwoPhaseCommit
 from repro.db.messages import MessageKind
 from repro.db.transaction import (
     CohortAgent,
@@ -33,10 +35,11 @@ from repro.db.transaction import (
     TransactionOutcome,
 )
 from repro.db.wal import LogRecordKind
+from repro.obs.events import CommitPhase
 from repro.sim.events import Event
 
 
-class UnsolicitedVote(CommitProtocol):
+class UnsolicitedVote(TwoPhaseCommit):
     """2PC with unsolicited votes piggybacked on completion reports."""
 
     name = "UV"
@@ -50,6 +53,13 @@ class UnsolicitedVote(CommitProtocol):
                 "will not be forced back to the active state, which "
                 "breaks OPT's bounded abort chain (paper Section 3.2)")
 
+    def master_begin(self, master: MasterAgent,
+                     ) -> typing.Generator[Event, typing.Any, None]:
+        if self.presumed is TransactionOutcome.COMMITTED:
+            # The membership record must be durable before any cohort
+            # can unilaterally enter the prepared state.
+            yield from master.force_log(LogRecordKind.COLLECTING)
+
     # ------------------------------------------------------------------
     # Cohort side: prepare unilaterally, vote with the work report.
     # ------------------------------------------------------------------
@@ -59,32 +69,15 @@ class UnsolicitedVote(CommitProtocol):
         master = cohort.master
         assert master is not None
         if self.system.surprise_no_vote():
-            yield from cohort.force_log(LogRecordKind.ABORT)
-            cohort.implement_abort()
+            yield from self.vote_no(cohort)
             yield from cohort.send(MessageKind.VOTE_NO, master)
             return
-        yield from cohort.force_log(LogRecordKind.PREPARE)
-        cohort.state = CohortState.PREPARED
-        cohort.site.lock_manager.prepare(cohort)
+        yield from cohort.prepare()
         yield from cohort.send(MessageKind.VOTE_YES, master)
 
     def cohort_commit(self, cohort: CohortAgent) -> CohortGenerator:
-        if cohort.state is not CohortState.PREPARED:
-            return  # voted NO; already aborted unilaterally
-        master = cohort.master
-        assert master is not None
-        message = yield from self.await_decision(
-            cohort, (MessageKind.COMMIT, MessageKind.ABORT))
-        if message is None:
-            return  # resolved through recovery
-        if message.kind is MessageKind.COMMIT:
-            yield from cohort.force_log(LogRecordKind.COMMIT)
-            cohort.implement_commit()
-        else:
-            assert message.kind is MessageKind.ABORT, message
-            yield from cohort.force_log(LogRecordKind.ABORT)
-            cohort.implement_abort()
-        yield from cohort.send(MessageKind.ACK, master)
+        if cohort.state is CohortState.PREPARED:  # else aborted on its NO
+            yield from self.cohort_decision(cohort)
 
     # ------------------------------------------------------------------
     # Master side: the votes arrived with the completion reports.
@@ -93,24 +86,12 @@ class UnsolicitedVote(CommitProtocol):
         master.prepared_cohorts = [
             message.sender for message in master.early_votes
             if message.kind is MessageKind.VOTE_YES]
-        no_votes = sum(1 for message in master.early_votes
-                       if message.kind is MessageKind.VOTE_NO)
-        # Local cohorts report for free (same-site messages carry no
-        # kind change); they are prepared iff they said so.
-        all_yes = no_votes == 0 and (
-            len(master.prepared_cohorts) == len(master.cohorts))
+        # Every cohort reported once (local ones for free), so all voted
+        # YES iff each is prepared.
+        all_yes = len(master.prepared_cohorts) == len(master.cohorts)
+        master.mark_phase(CommitPhase.DECIDE)
         if all_yes:
-            yield from master.force_log(LogRecordKind.COMMIT)
-            for cohort in master.prepared_cohorts:
-                yield from master.send(MessageKind.COMMIT, cohort)
-            yield from self.collect_acks(master, MessageKind.ACK,
-                                         len(master.prepared_cohorts))
-            master.log(LogRecordKind.END)
+            yield from self.master_commit_phase(master)
             return TransactionOutcome.COMMITTED
-        yield from master.force_log(LogRecordKind.ABORT)
-        for cohort in master.prepared_cohorts:
-            yield from master.send(MessageKind.ABORT, cohort)
-        yield from self.collect_acks(master, MessageKind.ACK,
-                                     len(master.prepared_cohorts))
-        master.log(LogRecordKind.END)
+        yield from self.master_abort_phase(master)
         return self.abort_outcome(master)

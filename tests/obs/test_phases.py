@@ -119,6 +119,19 @@ class TestOnRealSimulations:
         breakdown = obs.breakdown("PC")
         assert set(breakdown) == {"execute", "vote", "decide"}
 
+    @pytest.mark.parametrize("protocol, phases", [
+        ("UV", {"execute", "vote", "decide", "ack"}),
+        ("EP", {"execute", "vote", "decide"})])
+    def test_unsolicited_votes_book_the_decision_round(self, protocol,
+                                                       phases):
+        """UV and EP vote on their completion reports, yet their decision
+        and ACK rounds are booked as such, not as voting (EP presumes
+        commit, so it has no ACK round)."""
+        obs = PhaseLatencyObserver()
+        repro.simulate(protocol, measured_transactions=40, mpl=2,
+                       on_system=lambda system: obs.attach(system.bus))
+        assert set(obs.breakdown(protocol)) == phases
+
     def test_phase_sum_bounds_response_time(self):
         obs = PhaseLatencyObserver()
         result = repro.simulate(
