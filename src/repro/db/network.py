@@ -10,9 +10,11 @@ Consequences implemented here:
 - wire latency is zero *by default*;
 - the *sender's process* is occupied while the send-side MsgCPU cost is
   paid (at message priority);
-- the receive-side MsgCPU cost is paid by an independent delivery
-  process at the receiving site, after which the message lands in the
-  receiver's inbox;
+- the receive-side MsgCPU cost is paid at the receiving site, off the
+  sender's path, after which the message lands in the receiver's inbox.
+  Delivery waits on one event at a time (the wire delay, then the
+  receive claim), so it runs as a chain of those events' callbacks
+  (:class:`_Delivery`), not as a process;
 - messages between agents at the *same site* are free (they correspond
   to the master talking to its local cohort) and are delivered
   immediately.
@@ -24,7 +26,7 @@ as intra- vs cross-datacenter and may lose a message on the healthy
 wire.  The fault injector *stacks on top of* the wire: injected delay
 and loss model the unhealthy one, and a site that crashes while a
 cross-DC message is in flight still drops it once the link delay has
-elapsed (see ``_deliver``).
+elapsed (see :meth:`_Delivery.arrive`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import typing
 from repro.db.messages import Message, MessageKind
 from repro.obs.bus import EventBus
 from repro.obs.events import EventKind, MessageDeliver, MessageSend, MsgDrop
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.site import Site
@@ -84,7 +86,7 @@ class Network:
             message.receiver.inbox.put(message)
             return
         delay, cross_dc = self._put_on_link(message, src, dst)
-        yield from sender_site.message_cpu(self.msg_cpu_ms)
+        yield sender_site.message_cpu(self.msg_cpu_ms)
         faults = self.faults
         if faults is not None and faults.link_severed(src, dst):
             # The link group between the two datacenters is severed:
@@ -107,10 +109,11 @@ class Network:
                 self._drop(message, "loss")
                 return
             delay += plan.message_delay()
-        # Receive side: an independent process so the sender is not
-        # blocked while the receiver's CPU works through its queue.
-        self.env.process(self._deliver(message, delay, cross_dc),
-                         name=f"deliver-{message.kind.value}")
+        # Receive side: a callback chain, started by an event at this
+        # instant, so the sender is not blocked while the receiver's CPU
+        # works through its queue.
+        Timeout(self.env, 0.0).callbacks.append(
+            _Delivery(self, message, delay, cross_dc).start)
 
     def _hand_over(self, message: "Message", site_id: int) -> None:
         """Count and trace a same-site message: free and instantaneous,
@@ -156,38 +159,6 @@ class Network:
                                     link=(src, dst), delay_ms=delay,
                                     cross_dc=cross_dc))
         return delay, cross_dc
-
-    def _deliver(self, message: "Message", delay: float = 0.0,
-                 cross_dc: bool = False,
-                 ) -> typing.Generator[Event, typing.Any, None]:
-        if delay > 0.0:
-            # Wire latency: topology link delay plus injected delay
-            # (the paper's healthy switch has neither).
-            yield self.env.timeout(delay)
-        faults = self.faults
-        if faults is not None and not message.receiver.site.up:
-            # Receiver's site is down: nobody pays the receive cost.
-            # For a cross-DC message this check runs *after* the link
-            # delay elapsed, so a mid-flight crash still eats it.
-            self._drop(message, "site_down")
-            return
-        if faults is not None and faults.link_severed(*message.link):
-            # The partition started while the message was in flight:
-            # it never makes it across the cut.
-            self._drop(message, "partition")
-            return
-        yield from message.receiver.site.message_cpu(self.msg_cpu_ms)
-        if faults is not None and not message.receiver.site.up:
-            # Site crashed while the receive CPU was being served; the
-            # in-flight delivery is part of the lost volatile state.
-            self._drop(message, "site_down")
-            return
-        if self.bus.has_subscribers(EventKind.MSG_DELIVER):
-            self.bus.publish(MessageDeliver(self.env.now, message,
-                                            link=message.link,
-                                            delay_ms=delay,
-                                            cross_dc=cross_dc))
-        message.receiver.inbox.put(message)
 
     def _drop(self, message: "Message", reason: str) -> None:
         self.messages_dropped += 1
@@ -246,7 +217,7 @@ class Network:
             src = send_site.site_id
             dst = recv_site.site_id
             delay, cross_dc = self._put_on_link(message, src, dst)
-            yield from send_site.message_cpu(self.msg_cpu_ms)
+            yield send_site.message_cpu(self.msg_cpu_ms)
             if self.faults is not None \
                     and self.faults.link_severed(src, dst):
                 # The inquiry leg cannot cross a severed link group:
@@ -255,7 +226,7 @@ class Network:
                 return False
             if delay > 0.0:
                 yield self.env.timeout(delay)
-            yield from recv_site.message_cpu(self.msg_cpu_ms)
+            yield recv_site.message_cpu(self.msg_cpu_ms)
             if self.bus.has_subscribers(EventKind.MSG_DELIVER):
                 self.bus.publish(MessageDeliver(
                     self.env.now, message, link=(src, dst),
@@ -264,3 +235,61 @@ class Network:
 
     def __repr__(self) -> str:
         return f"<Network msg_cpu={self.msg_cpu_ms}ms sent={self.messages_sent}>"
+
+
+class _Delivery:
+    """The receive side of one remote message, as a chain of callbacks:
+    the wire delay, the fault checks, the receiver's MsgCPU claim, then
+    the inbox put."""
+
+    __slots__ = ("network", "message", "delay", "cross_dc")
+
+    def __init__(self, network: Network, message: "Message", delay: float,
+                 cross_dc: bool) -> None:
+        self.network = network
+        self.message = message
+        self.delay = delay
+        self.cross_dc = cross_dc
+
+    def start(self, event: Event) -> None:
+        if self.delay > 0.0:
+            # Wire latency: topology link delay plus injected delay
+            # (the paper's healthy switch has neither).
+            Timeout(self.network.env, self.delay).callbacks.append(
+                self.arrive)
+        else:
+            self.arrive(event)
+
+    def arrive(self, _event: Event) -> None:
+        network = self.network
+        message = self.message
+        site = message.receiver.site
+        faults = network.faults
+        if faults is not None and not site.up:
+            # Receiver's site is down: nobody pays the receive cost.
+            # For a cross-DC message this check runs *after* the link
+            # delay elapsed, so a mid-flight crash still eats it.
+            network._drop(message, "site_down")
+            return
+        if faults is not None and faults.link_severed(*message.link):
+            # The partition started while the message was in flight:
+            # it never makes it across the cut.
+            network._drop(message, "partition")
+            return
+        site.message_cpu(network.msg_cpu_ms).callbacks.append(self.received)
+
+    def received(self, _event: Event) -> None:
+        network = self.network
+        message = self.message
+        if network.faults is not None and not message.receiver.site.up:
+            # Site crashed while the receive CPU was being served; the
+            # in-flight delivery is part of the lost volatile state.
+            network._drop(message, "site_down")
+            return
+        bus = network.bus
+        if bus.has_subscribers(EventKind.MSG_DELIVER):
+            bus.publish(MessageDeliver(network.env.now, message,
+                                       link=message.link,
+                                       delay_ms=self.delay,
+                                       cross_dc=self.cross_dc))
+        message.receiver.inbox.put(message)

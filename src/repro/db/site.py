@@ -20,6 +20,7 @@ from repro.sim.resources import (
     PRIORITY_MESSAGE,
     InfiniteServer,
     PriorityResource,
+    Request,
     Resource,
     Server,
 )
@@ -87,7 +88,7 @@ class Site:
         self.pages_written = 0
 
     # ------------------------------------------------------------------
-    # Service coroutines
+    # Service claims
     # ------------------------------------------------------------------
     def data_disk_for(self, page: int) -> Server:
         """The data disk storing ``page`` at this site."""
@@ -96,18 +97,19 @@ class Site:
     def read_page(self, page: int) -> typing.Generator[Event, typing.Any, None]:
         """Disk read followed by CPU processing (paper Section 4.1)."""
         self.pages_read += 1
-        yield from self.data_disk_for(page).serve(self.page_disk_ms)
-        yield from self.cpu.serve(self.page_cpu_ms, priority=PRIORITY_DATA)
+        yield self.data_disk_for(page).claim(self.page_disk_ms)
+        yield self.cpu.claim(self.page_cpu_ms, PRIORITY_DATA)
 
-    def write_page(self, page: int) -> typing.Generator[Event, typing.Any, None]:
-        """Deferred data-page write (asynchronous, disk only)."""
+    def write_page(self, page: int) -> Request:
+        """Deferred data-page write (asynchronous, disk only): the claim
+        on the page's data disk."""
         self.pages_written += 1
-        yield from self.data_disk_for(page).serve(self.page_disk_ms)
+        return self.data_disk_for(page).claim(self.page_disk_ms)
 
-    def message_cpu(self, duration: float,
-                    ) -> typing.Generator[Event, typing.Any, None]:
-        """CPU time for sending or receiving one message."""
-        yield from self.cpu.serve(duration, priority=PRIORITY_MESSAGE)
+    def message_cpu(self, duration: float) -> Request:
+        """CPU time for sending or receiving one message: a claim at
+        message priority."""
+        return self.cpu.claim(duration, PRIORITY_MESSAGE)
 
     def __repr__(self) -> str:
         return f"<Site {self.site_id}>"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import typing
 
 from repro.db.messages import Message, MessageKind
@@ -27,7 +28,7 @@ from repro.obs.events import (
     ShelfEnter,
     TimeoutFired,
 )
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Interrupt, Process
 from repro.sim.resources import Store
 
@@ -384,8 +385,8 @@ class CohortAgent(Agent):
         self.site.lock_manager.finalize(self, committed=True)
         updated = self.access.updated_pages
         if updated:
-            self.env.process(self._flush_updates(updated),
-                             name=f"{self.txn.name}-flush@{self.site.site_id}")
+            Timeout(self.env, 0.0).callbacks.append(
+                functools.partial(self._flush_updates, iter(updated)))
             if self.system.replicas is not None:
                 self.env.process(
                     self._replicate_updates(updated),
@@ -396,15 +397,21 @@ class CohortAgent(Agent):
         self.state = CohortState.ABORTED
         self.site.lock_manager.finalize(self, committed=False)
 
-    def _flush_updates(self, pages: tuple[int, ...],
-                       ) -> typing.Generator[Event, typing.Any, None]:
-        """Asynchronously write updated pages back to the data disks.
+    def _flush_updates(self, pages: typing.Iterator[int],
+                       _event: Event) -> None:
+        """Write the next of ``pages`` back to its data disk, and chain
+        the write after it to this one's end.
 
         These writes happen after commit, off the transaction's response
         path, but they do consume data-disk capacity (paper Section 4.1).
+        They wait on nothing but their own disk claims, so they run as
+        those claims' callbacks, started by an event at the commit
+        instant, not as a process.
         """
-        for page in pages:
-            yield from self.site.write_page(page)
+        page = next(pages, None)
+        if page is not None:
+            self.site.write_page(page).callbacks.append(
+                functools.partial(self._flush_updates, pages))
 
     def _replicate_updates(self, pages: tuple[int, ...],
                            ) -> typing.Generator[Event, typing.Any, None]:
@@ -511,7 +518,7 @@ class ReplicaApplier(CohortAgent):
                 lock_manager.finalize(self, committed=False)
                 break
             self.log(LogRecordKind.REPLICA_UPDATE)
-            yield from self.site.write_page(page)
+            yield self.site.write_page(page)
             lock_manager.finalize(self, committed=True)
         self.state = CohortState.COMMITTED
 

@@ -19,7 +19,7 @@ import typing
 
 from repro.obs.bus import EventBus
 from repro.obs.events import EventKind, LogForce, LogWrite
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 from repro.sim.resources import Server
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,7 +60,7 @@ class LogRecord:
 class LogManager:
     """The log at one site.
 
-    ``force_write`` is a coroutine: it occupies a log disk for one page
+    ``force_write`` is a coroutine: it claims a log disk for one page
     write.  ``write`` (non-forced) is free, matching the paper's model.
     """
 
@@ -134,8 +134,7 @@ class LogManager:
         if self.group_commit:
             yield from self._group_commit_flush()
         else:
-            disk = self._pick_disk()
-            yield from disk.serve(self.write_time_ms)
+            yield self._pick_disk().claim(self.write_time_ms)
         record.time = self.env.now
         return record
 
@@ -151,8 +150,8 @@ class LogManager:
         If a flush is already in progress, the caller's record joins the
         *next* batch and the caller waits for that batch's single disk
         write.  Otherwise the caller becomes the flush leader: it writes
-        its own record, then keeps issuing one disk write per accumulated
-        batch until no writers are pending.
+        its own record, and the batches that accumulated meanwhile are
+        then flushed one disk write each until none is pending.
         """
         if self._flushing:
             if self._pending is None:
@@ -163,32 +162,31 @@ class LogManager:
         try:
             disk = self._pick_disk()
             self.group_flushes += 1
-            yield from disk.serve(self.write_time_ms)
+            yield disk.claim(self.write_time_ms)
         except BaseException:
             self._flushing = False
             raise
         # The leader's record is durable now; stragglers that queued up
-        # during the write are flushed by a background batch process so
-        # the leader does not wait on their behalf.
+        # during the write are flushed by a callback chain that starts at
+        # this instant, so the leader does not wait on their behalf.
         if self._pending is not None:
-            self.env.process(self._flush_pending_batches(),
-                             name=f"group-commit@{self.site_id}")
+            Timeout(self.env, 0.0).callbacks.append(self._flush_batch)
         else:
             self._flushing = False
 
-    def _flush_pending_batches(
-            self) -> typing.Generator[Event, typing.Any, None]:
-        """One disk write per accumulated batch until none are pending."""
-        try:
-            while self._pending is not None:
-                batch = self._pending
-                self._pending = None
-                disk = self._pick_disk()
-                self.group_flushes += 1
-                yield from disk.serve(self.write_time_ms)
-                batch.succeed()
-        finally:
+    def _flush_batch(self, _event: Event) -> None:
+        """Flush the pending batch with one disk write.  The write's end
+        wakes the batch's writers and flushes the next batch, until none
+        is pending."""
+        batch = self._pending
+        if batch is None:
             self._flushing = False
+            return
+        self._pending = None
+        self.group_flushes += 1
+        callbacks = self._pick_disk().claim(self.write_time_ms).callbacks
+        callbacks.append(batch.trigger)
+        callbacks.append(self._flush_batch)
 
     # ------------------------------------------------------------------
     def txn_kinds(self, txn_id: int,

@@ -113,6 +113,14 @@ class Event:
         env._eid += 1
         _heappush(env._queue, (env._now, env._eid, self))
 
+    def abandon(self) -> None:
+        """Called when the process waiting on this event is interrupted.
+
+        A no-op except for a resource claim
+        (:meth:`repro.sim.resources.Request.abandon`), which gives up its
+        server or its place in the queue.
+        """
+
     def __repr__(self) -> str:
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")

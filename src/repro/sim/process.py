@@ -57,6 +57,9 @@ class _Resume:
         self._value = value
         self.defused = defused
 
+    def abandon(self) -> None:
+        """Nothing to give up (see :meth:`Event.abandon`)."""
+
 
 class Process(Event):
     """A running simulation process.
@@ -121,12 +124,15 @@ class Process(Event):
             # is moot.
             return
         # Detach from the current target so a later trigger of that event
-        # does not resume us a second time.
+        # does not resume us a second time, and give it up before the
+        # interrupt is thrown in: a resource claim is withdrawn if
+        # queued, or frees its server now if in service.
         target = self._target
         if target is not None:
             callbacks = target.callbacks
             if callbacks is not None and self._resume in callbacks:
                 callbacks.remove(self._resume)
+            target.abandon()
         self._step(event)
 
     def _step(self, event: Event) -> None:
@@ -141,6 +147,10 @@ class Process(Event):
                 result = self._generator.throw(
                     typing.cast(BaseException, event._value))
         except StopIteration as stop:
+            # Drop the bound resume callback: it refers back to this
+            # process, so keeping it would leave every finished process
+            # in a reference cycle for the cyclic collector.
+            self._resume = None
             self._ok = True
             self._value = stop.value
             if self.callbacks:
@@ -153,6 +163,7 @@ class Process(Event):
                 self.callbacks = None
             return
         except BaseException as error:  # noqa: BLE001 - deliberate resurface
+            self._resume = None
             self._ok = False
             self._value = error
             self.env.schedule(self)

@@ -11,15 +11,20 @@ The paper's model needs three kinds of service centers:
 - **Infinite servers**: Experiment 2 ("pure data contention") makes the
   physical resources infinite -- no queueing, only service time.
 
-All three expose the same ``serve`` coroutine so call sites do not care
-which one they talk to.
+All three take a claim the same way: ``claim(duration, priority)``
+returns a :class:`Request`, an event the claiming process yields
+directly, so call sites do not care which kind they talk to.
 
 Every claim costs one heap entry.  Granting a claim schedules its
-:class:`Request` at the *end* of its service, so a process that serves
+:class:`Request` at the *end* of its service, so a process that claims
 sleeps once, on that entry, and needs no separate grant event or
 :class:`~repro.sim.events.Timeout`.  A free server grants at once; a busy
-one queues the claim and :meth:`Resource.release` grants it when a server
-frees up.
+one queues the claim.  The request's first callback ends its service:
+it frees the server and grants the next queued claim, before the
+waiting process resumes.  A process interrupted while it waits on a
+claim abandons it (:meth:`Request.abandon`) before the interrupt is
+thrown in: a queued claim is withdrawn, and one in service frees its
+server at the interrupt instant.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import heapq
 import typing
 from heapq import heappush as _heappush
 
-from repro.sim.events import _PENDING, Event, Timeout
+from repro.sim.events import _PENDING, Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Environment
@@ -41,27 +46,32 @@ PRIORITY_DATA = 1
 
 
 class Request(Event):
-    """A claim on a resource.
+    """A claim of one server of ``resource`` for ``duration``.
 
-    Triggered when the resource grants the claim, and processed
-    ``duration`` later: at once for :meth:`Resource.request`, at the end
-    of service for :meth:`Resource.serve`.  ``triggered`` therefore
-    means "holds a server".  Must be released with
-    :meth:`Resource.release` (directly or via ``serve``).
+    Triggered when the resource grants the claim, and processed at the
+    end of its service, ``duration`` later: ``triggered`` therefore
+    means "holds a server".  Its first callback is the resource's end
+    of service, which frees the server; :meth:`abandon` gives the claim
+    up early.
     """
 
-    __slots__ = ("priority", "duration")
+    __slots__ = ("resource", "priority", "duration")
 
-    def __init__(self, env: "Environment", priority: int = PRIORITY_DATA,
-                 duration: float = 0.0) -> None:
+    def __init__(self, resource: "Server", priority: int,
+                 duration: float) -> None:
         # Event.__init__ inlined, as in Timeout: one of these per claim.
-        self.env = env
-        self.callbacks = []
+        self.env = resource.env
+        self.callbacks = [resource._end_service]
         self._value = _PENDING
         self._ok = None
         self.defused = False
+        self.resource = resource
         self.priority = priority
         self.duration = duration
+
+    def abandon(self) -> None:
+        """Give the claim up: its waiting process was interrupted."""
+        self.resource.release(self)
 
 
 class Resource:
@@ -86,66 +96,70 @@ class Resource:
         self._queue_integral = 0.0
         self._last_change = env.now
         self._served = 0
+        # Every claim's first callback, bound once (binding a method per
+        # claim is measurable).
+        self._end_service = self._finish
 
     # ------------------------------------------------------------------
     # Claims
     # ------------------------------------------------------------------
-    def request(self, priority: int = PRIORITY_DATA) -> Request:
-        """Claim a server slot; the returned event triggers when granted."""
-        return self._claim(Request(self.env, priority))
-
-    def release(self, request: Request) -> None:
-        """Release a claim: free its server, or withdraw it if queued."""
-        self._account()
-        if request._value is _PENDING:
-            # Still waiting: withdraw from the queue (used when an
-            # interrupted process abandons its claim).
-            self._dequeue(request)
-            return
-        self._in_service -= 1
-        self._served += 1
-        if self._queue:
-            self._grant(self._pop_next())
-
-    def cancel(self, request: Request) -> None:
-        """Withdraw an ungranted request (no-op if already granted)."""
-        self._account()
-        if request._value is _PENDING:
-            self._dequeue(request)
-
-    def serve(self, duration: float, priority: int = PRIORITY_DATA,
-              ) -> typing.Generator[Event, typing.Any, None]:
-        """Coroutine: wait for a server, hold it for ``duration``, release.
-
-        The process wakes once, when service ends.  If it is interrupted
-        while queued, the claim is withdrawn; if interrupted in service,
-        the server is freed at the interrupt instant.  Either way this
-        happens before the interrupt propagates.
-        """
+    def claim(self, duration: float,
+              priority: int = PRIORITY_DATA) -> Request:
+        """Claim a server for ``duration``; the returned request is
+        processed when the service ends."""
         if duration < 0:
             raise ValueError(f"negative duration {duration}")
-        req = self._claim(Request(self.env, priority, duration))
-        try:
-            yield req
-        finally:
-            self.release(req)
-
-    def _claim(self, req: Request) -> Request:
-        self._account()
-        if self._in_service < self.capacity:
-            self._grant(req)
+        req = Request(self, priority, duration)
+        env = self.env
+        now = env._now
+        in_service = self._in_service
+        dt = now - self._last_change
+        if dt > 0:
+            self._busy_integral += dt * in_service
+            self._queue_integral += dt * len(self._queue)
+            self._last_change = now
+        if in_service < self.capacity:
+            self._in_service = in_service + 1
+            req._ok = True
+            req._value = None
+            env._eid += 1
+            _heappush(env._queue, (now + duration, env._eid, req))
         else:
             self._enqueue(req)
         return req
 
-    def _grant(self, req: Request) -> None:
-        """Give ``req`` a server: schedule it ``req.duration`` from now."""
-        self._in_service += 1
-        req._ok = True
-        req._value = None
+    def _finish(self, request: Request) -> None:
+        """End ``request``'s service: free its server, or hand it to the
+        next queued claim."""
         env = self.env
-        env._eid += 1
-        _heappush(env._queue, (env._now + req.duration, env._eid, req))
+        now = env._now
+        dt = now - self._last_change
+        if dt > 0:
+            self._busy_integral += dt * self._in_service
+            self._queue_integral += dt * len(self._queue)
+            self._last_change = now
+        self._served += 1
+        if self._queue:
+            req = self._pop_next()
+            req._ok = True
+            req._value = None
+            env._eid += 1
+            _heappush(env._queue, (now + req.duration, env._eid, req))
+        else:
+            self._in_service -= 1
+
+    def release(self, request: Request) -> None:
+        """Give a claim up before its service ends: withdraw it if it is
+        queued, or free its server now.  A no-op once it has ended."""
+        callbacks = request.callbacks
+        if callbacks is None or self._end_service not in callbacks:
+            return
+        callbacks.remove(self._end_service)
+        if request._value is _PENDING:
+            self._account()
+            self._dequeue(request)
+        else:
+            self._finish(request)
 
     # ------------------------------------------------------------------
     # Queue discipline (overridden by PriorityResource)
@@ -154,10 +168,7 @@ class Resource:
         self._queue.append(req)
 
     def _dequeue(self, req: Request) -> None:
-        try:
-            self._queue.remove(req)
-        except ValueError:
-            pass
+        self._queue.remove(req)
 
     def _pop_next(self) -> Request:
         return self._queue.popleft()
@@ -236,8 +247,8 @@ class InfiniteServer:
     """A service center with unlimited parallel servers (no queueing).
 
     Experiment 2 of the paper makes CPUs and disks "infinite": requests
-    never queue but still take their full service time.  Exposes the same
-    ``serve`` interface as :class:`Resource`.
+    never queue but still take their full service time.  Claims the same
+    way as :class:`Resource`.
     """
 
     def __init__(self, env: "Environment", name: str = "infinite") -> None:
@@ -246,12 +257,31 @@ class InfiniteServer:
         self.capacity = float("inf")
         self._served = 0
         self._busy_integral = 0.0
+        self._end_service = self._finish
 
-    def serve(self, duration: float, priority: int = PRIORITY_DATA,
-              ) -> typing.Generator[Event, typing.Any, None]:
-        yield Timeout(self.env, duration)
+    def claim(self, duration: float,
+              priority: int = PRIORITY_DATA) -> Request:
+        """Claim a server for ``duration``: granted at once."""
+        if duration < 0:
+            raise ValueError(f"negative duration {duration}")
+        req = Request(self, priority, duration)
+        req._ok = True
+        req._value = None
+        env = self.env
+        env._eid += 1
+        _heappush(env._queue, (env._now + duration, env._eid, req))
+        return req
+
+    def _finish(self, request: Request) -> None:
         self._served += 1
-        self._busy_integral += duration
+        self._busy_integral += request.duration
+
+    def release(self, request: Request) -> None:
+        """Give a claim up before its service ends: it counts no
+        service."""
+        callbacks = request.callbacks
+        if callbacks is not None and self._end_service in callbacks:
+            callbacks.remove(self._end_service)
 
     @property
     def queue_length(self) -> int:

@@ -42,7 +42,7 @@ def test_write_page_costs_disk_only(env):
     times = []
 
     def writer(env):
-        yield from site.write_page(0)
+        yield site.write_page(0)
         times.append(env.now)
 
     env.process(writer(env))
@@ -93,12 +93,12 @@ def test_message_cpu_preempts_queued_data_work(env):
     order = []
 
     def data_job(env, tag):
-        yield from site.cpu.serve(5.0)
+        yield site.cpu.claim(5.0)
         order.append(tag)
 
     def message(env):
         yield env.timeout(1.0)
-        yield from site.message_cpu(5.0)
+        yield site.message_cpu(5.0)
         order.append("msg")
 
     env.process(data_job(env, "d1"))
@@ -135,7 +135,7 @@ def test_multi_cpu_site(env):
     times = []
 
     def job(env):
-        yield from site.cpu.serve(10.0)
+        yield site.cpu.claim(10.0)
         times.append(env.now)
 
     env.process(job(env))

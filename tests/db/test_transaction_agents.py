@@ -127,7 +127,7 @@ class TestDecisionImplementation:
         spec = system.workload.generate(0)
         txn = system._launch(spec, 0, 0.0)
         system.env.run(until=txn.master.process)
-        system.env.run()  # drain the async flush processes
+        system.env.run()  # drain the deferred page writes
         written = sum(site.pages_written for site in system.sites)
         updated = sum(len(a.updated_pages) for a in spec.accesses)
         assert written == updated

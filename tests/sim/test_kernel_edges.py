@@ -1,5 +1,5 @@
-"""Remaining kernel edge cases: empty schedules, request cancellation,
-priority-ordering properties."""
+"""Remaining kernel edge cases: empty schedules, withdrawing a queued
+claim, priority-ordering properties."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,17 +21,17 @@ def test_resource_cancel_before_grant():
     order = []
 
     def holder(env):
-        yield from disk.serve(10.0)
+        yield disk.claim(10.0)
         order.append("holder")
 
     env.process(holder(env))
     env.run(until=env.now)  # let the holder claim the disk first
-    req = disk.request()
+    req = disk.claim(1.0)
     assert not req.triggered
-    disk.cancel(req)
+    disk.release(req)
 
     def other(env):
-        yield from disk.serve(1.0)
+        yield disk.claim(1.0)
         order.append("other")
 
     env.process(other(env))
@@ -40,25 +40,14 @@ def test_resource_cancel_before_grant():
     assert order == ["holder", "other"]
 
 
-def test_resource_cancel_after_grant_is_noop():
-    env = Environment()
-    disk = Resource(env, capacity=1)
-    req = disk.request()
-    assert req.triggered
-    disk.cancel(req)         # no effect: still held
-    assert disk.in_service == 1
-    disk.release(req)
-    assert disk.in_service == 0
-
-
 def test_priority_resource_cancel_from_heap():
     env = Environment()
     cpu = PriorityResource(env, capacity=1)
-    blocker = cpu.request()
+    blocker = cpu.claim(1.0)
     assert blocker.triggered
-    queued = cpu.request(priority=PRIORITY_MESSAGE)
+    queued = cpu.claim(1.0, priority=PRIORITY_MESSAGE)
     assert not queued.triggered
-    cpu.cancel(queued)
+    cpu.release(queued)
     assert cpu.queue_length == 0
     cpu.release(blocker)
 
@@ -77,10 +66,10 @@ def test_priority_classes_never_starve_messages(jobs):
     completions = []
 
     def blocker(env):
-        yield from cpu.serve(1.0)
+        yield cpu.claim(1.0)
 
     def job(env, index, priority, duration):
-        yield from cpu.serve(duration, priority=priority)
+        yield cpu.claim(duration, priority=priority)
         completions.append((index, priority))
 
     env.process(blocker(env))
@@ -110,7 +99,7 @@ def test_work_conservation(capacity, durations):
     resource = Resource(env, capacity=capacity)
 
     def job(env, duration):
-        yield from resource.serve(duration)
+        yield resource.claim(duration)
 
     for duration in durations:
         env.process(job(env, duration))

@@ -1,5 +1,7 @@
 """Tests for process lifecycle and interrupts."""
 
+import gc
+
 import pytest
 
 from repro.sim import Environment, Interrupt
@@ -256,3 +258,31 @@ def test_failed_process_nobody_waits_on_still_surfaces_from_run():
     with pytest.raises(ValueError, match="boom"):
         env.run()
     assert env._eid == 3  # the failure is scheduled so run() sees it
+
+
+def test_finished_processes_need_no_cycle_collector():
+    """A process that has returned keeps no reference cycle (its cached
+    resume callback is dropped), so dropping the environment frees
+    every process by reference counting alone."""
+
+    def worker(env, delay):
+        yield env.timeout(delay)
+        return delay
+
+    def parent(env):
+        total = yield env.process(worker(env, 2.0))
+        total += yield env.process(worker(env, 1.0))
+        return total
+
+    gc.collect()
+    gc.disable()
+    try:
+        env = Environment()
+        for delay in (1.0, 3.0):
+            env.process(worker(env, delay))
+        env.process(parent(env))
+        env.run()
+        del env
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -25,7 +25,7 @@ def test_single_server_serializes_requests():
     finish = []
 
     def job(env, tag):
-        yield from disk.serve(10.0)
+        yield disk.claim(10.0)
         finish.append((tag, env.now))
 
     env.process(job(env, "a"))
@@ -41,7 +41,7 @@ def test_multi_server_runs_in_parallel():
     finish = []
 
     def job(env, tag):
-        yield from cpu.serve(10.0)
+        yield cpu.claim(10.0)
         finish.append((tag, env.now))
 
     for tag in "abc":
@@ -57,7 +57,7 @@ def test_fcfs_order_preserved():
 
     def job(env, tag, arrival):
         yield env.timeout(arrival)
-        yield from disk.serve(5.0)
+        yield disk.claim(5.0)
         order.append(tag)
 
     env.process(job(env, "late", 2.0))
@@ -74,12 +74,12 @@ def test_priority_resource_serves_messages_first():
 
     def data_job(env, tag, arrival):
         yield env.timeout(arrival)
-        yield from cpu.serve(10.0, priority=PRIORITY_DATA)
+        yield cpu.claim(10.0, priority=PRIORITY_DATA)
         order.append(tag)
 
     def message_job(env, tag, arrival):
         yield env.timeout(arrival)
-        yield from cpu.serve(1.0, priority=PRIORITY_MESSAGE)
+        yield cpu.claim(1.0, priority=PRIORITY_MESSAGE)
         order.append(tag)
 
     # d1 occupies the CPU at t=0; d2 and m1 queue while d1 runs.
@@ -96,12 +96,12 @@ def test_priority_resource_is_non_preemptive():
     log = []
 
     def data_job(env):
-        yield from cpu.serve(10.0, priority=PRIORITY_DATA)
+        yield cpu.claim(10.0, priority=PRIORITY_DATA)
         log.append(("data-done", env.now))
 
     def message_job(env):
         yield env.timeout(1.0)
-        yield from cpu.serve(1.0, priority=PRIORITY_MESSAGE)
+        yield cpu.claim(1.0, priority=PRIORITY_MESSAGE)
         log.append(("msg-done", env.now))
 
     env.process(data_job(env))
@@ -118,11 +118,11 @@ def test_priority_fcfs_within_class():
 
     def msg(env, tag, arrival):
         yield env.timeout(arrival)
-        yield from cpu.serve(1.0, priority=PRIORITY_MESSAGE)
+        yield cpu.claim(1.0, priority=PRIORITY_MESSAGE)
         order.append(tag)
 
     def blocker(env):
-        yield from cpu.serve(5.0, priority=PRIORITY_DATA)
+        yield cpu.claim(5.0, priority=PRIORITY_DATA)
 
     env.process(blocker(env))
     env.process(msg(env, "m1", 1.0))
@@ -138,19 +138,19 @@ def test_release_of_waiting_request_withdraws_it():
     log = []
 
     def holder(env):
-        yield from disk.serve(10.0)
+        yield disk.claim(10.0)
         log.append(("holder-done", env.now))
 
     def canceller(env):
         yield env.timeout(1.0)
-        req = disk.request()
+        req = disk.claim(5.0)
         yield env.timeout(1.0)
         disk.release(req)  # withdraw while still queued
         log.append(("cancelled", env.now))
 
     def other(env):
         yield env.timeout(2.0)
-        yield from disk.serve(5.0)
+        yield disk.claim(5.0)
         log.append(("other-done", env.now))
 
     env.process(holder(env))
@@ -167,17 +167,17 @@ def test_interrupt_while_queued_releases_claim():
     log = []
 
     def holder(env):
-        yield from disk.serve(10.0)
+        yield disk.claim(10.0)
 
     def victim(env):
         try:
-            yield from disk.serve(5.0)
+            yield disk.claim(5.0)
         except Interrupt:
             log.append("victim-interrupted")
 
     def other(env):
         yield env.timeout(2.0)
-        yield from disk.serve(5.0)
+        yield disk.claim(5.0)
         log.append(("other-done", env.now))
 
     env.process(holder(env))
@@ -201,13 +201,13 @@ def test_interrupt_while_in_service_frees_server():
 
     def victim(env):
         try:
-            yield from disk.serve(100.0)
+            yield disk.claim(100.0)
         except Interrupt:
             log.append(("victim-out", env.now))
 
     def other(env):
         yield env.timeout(1.0)
-        yield from disk.serve(5.0)
+        yield disk.claim(5.0)
         log.append(("other-done", env.now))
 
     v = env.process(victim(env))
@@ -227,7 +227,7 @@ def test_utilization_accounting():
     disk = Resource(env, capacity=1)
 
     def job(env):
-        yield from disk.serve(5.0)
+        yield disk.claim(5.0)
 
     env.process(job(env))
     env.run(until=10.0)
@@ -241,9 +241,8 @@ def test_utilization_accounting():
 def test_uncontended_serve_pushes_exactly_one_entry():
     env = Environment()
     disk = Resource(env)
-    claim = disk.serve(5.0)
     before = env._eid
-    request = next(claim)
+    request = disk.claim(5.0)
     assert env._eid - before == 1
     # The one entry is the end of service, not a grant at "now".
     assert [when for when, _, _ in env._queue] == [5.0]
@@ -256,7 +255,7 @@ def test_queued_serve_pushes_one_entry_at_its_grant():
     log = []
 
     def job(tag, duration):
-        yield from disk.serve(duration)
+        yield disk.claim(duration)
         log.append((tag, env.now))
 
     env.process(job("a", 10.0))
@@ -285,7 +284,7 @@ def _interrupt_the_victim(jobs):
 
     def job(tag, duration):
         try:
-            yield from disk.serve(duration)
+            yield disk.claim(duration)
             log.append((tag, "done", env.now))
         except Interrupt:
             log.append((tag, "interrupted", env.now))
@@ -318,6 +317,76 @@ def test_claim_interrupted_in_service_frees_the_server_at_once():
     assert disk._served == 2
 
 
+def test_interrupted_infinite_server_claim_counts_no_service():
+    env = Environment()
+    server = InfiniteServer(env)
+    log = []
+
+    def job(tag, duration):
+        try:
+            yield server.claim(duration)
+            log.append((tag, "done", env.now))
+        except Interrupt:
+            log.append((tag, "interrupted", env.now))
+
+    victim = env.process(job("victim", 10.0))
+    env.process(job("other", 3.0))
+
+    def attacker():
+        yield env.timeout(4.0)
+        victim.interrupt()
+
+    env.process(attacker())
+    env.run()
+    assert log == [("other", "done", 3.0), ("victim", "interrupted", 4.0)]
+    # Its end of service still pops at t=10, but counts nothing.
+    assert env.now == 10.0
+    assert (server._served, server.busy_snapshot()) == (1, 3.0)
+
+
+def test_priority_claim_interrupted_while_queued_keeps_a_valid_heap():
+    env = Environment()
+    cpu = PriorityResource(env)
+    log = []
+    procs = {}
+    claims = {}
+
+    def job(tag, priority, arrival, duration):
+        yield env.timeout(arrival)
+        claims[tag] = cpu.claim(duration, priority)
+        try:
+            yield claims[tag]
+            log.append((tag, env.now))
+        except Interrupt:
+            log.append((tag, "interrupted"))
+
+    for tag, priority, arrival, duration in [
+            ("blocker", PRIORITY_DATA, 0.0, 10.0),
+            ("d1", PRIORITY_DATA, 1.0, 2.0),
+            ("m1", PRIORITY_MESSAGE, 2.0, 2.0),
+            ("d2", PRIORITY_DATA, 3.0, 2.0),
+            ("m2", PRIORITY_MESSAGE, 4.0, 2.0),
+            ("m3", PRIORITY_MESSAGE, 5.0, 2.0)]:
+        procs[tag] = env.process(job(tag, priority, arrival, duration))
+
+    def attacker():
+        yield env.timeout(6.0)
+        procs["m1"].interrupt()
+
+    env.process(attacker())
+    env.run(until=6.0)
+    queue = cpu._queue
+    tag_of = {claim: tag for tag, claim in claims.items()}
+    assert sorted(tag_of[req] for _, _, req in queue) == [
+        "d1", "d2", "m2", "m3"]
+    assert all(queue[(i - 1) // 2] <= queue[i] for i in range(1, len(queue)))
+    env.run()
+    # The next message-class claim, m2, starts when the blocker ends.
+    assert log == [("m1", "interrupted"), ("blocker", 10.0), ("m2", 12.0),
+                   ("m3", 14.0), ("d1", 16.0), ("d2", 18.0)]
+    assert cpu._served == 5
+
+
 @pytest.mark.parametrize("kind", [Resource, PriorityResource])
 def test_statistics_of_two_jobs(kind):
     """Job a holds the single server over [0, 4); job b arrives at t=1,
@@ -328,7 +397,7 @@ def test_statistics_of_two_jobs(kind):
 
     def job(arrival, duration):
         yield env.timeout(arrival)
-        yield from server.serve(duration)
+        yield server.claim(duration)
 
     env.process(job(0.0, 4.0))
     env.process(job(1.0, 2.0))
@@ -342,7 +411,7 @@ def test_serve_rejects_a_negative_duration():
     env = Environment()
     disk = Resource(env)
     with pytest.raises(ValueError):
-        next(disk.serve(-1.0))
+        disk.claim(-1.0)
     assert (disk.in_service, env._eid) == (0, 0)
 
 
@@ -352,7 +421,7 @@ def test_infinite_server_never_queues():
     finish = []
 
     def job(env, tag):
-        yield from server.serve(10.0)
+        yield server.claim(10.0)
         finish.append((tag, env.now))
 
     for tag in "abcde":

@@ -1,5 +1,7 @@
 """System-level integration tests."""
 
+import collections
+
 import pytest
 
 import repro
@@ -7,6 +9,7 @@ from repro.config import ModelParams, Topology
 from repro.core import create_protocol
 from repro.db.system import DistributedSystem
 from repro.db.transaction import CohortAccess, TransactionSpec
+from repro.sim import Environment
 
 
 def small_system(protocol="2PC", **overrides):
@@ -165,6 +168,32 @@ class TestMplSemantics:
                             warmup_transactions=5)
         # Closed system: far more transactions started than slots.
         assert system.transactions_started > 4 * 1
+
+
+class TestProcessesStarted:
+    """Only slots, masters and cohorts run as processes: message
+    delivery and deferred page writes are callback chains."""
+
+    @pytest.mark.parametrize("protocol, params", [
+        ("2PC", repro.baseline_rc_dc(mpl=2)),
+        ("OPT", ModelParams(num_sites=4, network_topology=(
+            repro.NetworkTopology.parse("dcs:2x2:rtt_ms=10")))),
+    ], ids=["2PC-rcdc", "OPT-wan"])
+    def test_only_agents_and_slots_start_processes(self, monkeypatch,
+                                                   protocol, params):
+        started = collections.Counter()
+        process = Environment.process
+
+        def record(env, generator, name=None):
+            started[generator.__qualname__] += 1
+            return process(env, generator, name)
+
+        monkeypatch.setattr(Environment, "process", record)
+        result = repro.simulate(protocol, params, measured_transactions=40,
+                                warmup_transactions=5, seed=1)
+        assert result.committed >= 40
+        assert set(started) == {"DistributedSystem._slot",
+                                "MasterAgent.run", "CohortAgent.run"}
 
 
 class TestAbortPath:
