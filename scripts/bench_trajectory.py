@@ -5,11 +5,13 @@ Runs the kernel microbenchmarks plus one small sweep benchmark with
 plain ``time.perf_counter`` timing (no pytest-benchmark dependency) and
 writes a machine-readable ``BENCH_<n>.json`` at the repo root --
 wall-clock, events/sec, txns/sec -- so each PR's perf delta is recorded
-next to the previous ones.  The full run also records the benchmark
-(``perfbench/run.py``) on each of its workloads at one seed, under the
-``perfbench`` key: the end-to-end metrics of a ``--trace 0`` run, the
-per-layer metrics of a ``--trace 1`` run, and each run's result
-digests.
+next to the previous ones.  The kernel group also records, ungated, the
+cyclic collector's work on two of the benchmark's configurations (the
+``gc`` row).  The full run also records the benchmark
+(``perfbench/run.py``) on each of its workloads under the ``perfbench``
+key: the end-to-end metrics of a ``--trace 0`` run at seed 1, the
+per-layer metrics of ``--trace 1`` runs at seeds 1-5, and each run's
+result digests.
 
 Usage::
 
@@ -26,14 +28,16 @@ regressions, not machine noise.
 
 ``--compare A B`` prints the change of every perfbench metric from
 record A to record B.  It then lists every metric whose unit is
-``count`` in ``BENCHMARK.json`` and every result digest that differs,
-and exits 1 if any does: a change that claims identical behaviour must
-leave the work counters and the simulated results exactly as they were.
+``count`` in ``BENCHMARK.json`` and every result digest that differs, at
+every traced seed both records hold, and exits 1 if any does: a change
+that claims identical behaviour must leave the work counters and the
+simulated results exactly as they were.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import pathlib
 import platform
@@ -450,6 +454,72 @@ def bench_wan_point(transactions: int, repeats: int) -> dict:
                 system.metrics.cross_dc_round_trips_per_commit()}
 
 
+def bench_gc(measured: int | None = None) -> dict:
+    """The cyclic collector on two of the benchmark's configurations.
+
+    For ``closed-rcdc`` and ``faulted-paxos`` (``perfbench/workloads.py``,
+    seed 1; ``measured`` commits instead of the workload's own when
+    given), one run under ``gc.DEBUG_SAVEALL`` counts the objects the
+    collector finds unreachable, and a second, plain run counts the
+    collections of each generation and times them with
+    ``gc.callbacks``.  Recorded, not gated: the zero-garbage gate is
+    ``tests/db/test_retirement.py``.
+    """
+    sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+    import workloads  # the benchmark's own configurations
+
+    rows = {}
+    for config in (workloads.closed_rcdc(), workloads.faulted_paxos()):
+        commits = measured or config.measured
+        warmup = config.warmup if measured is None else commits // 10
+
+        def run(system) -> int:
+            system.run(measured_transactions=commits,
+                       warmup_transactions=warmup)
+            return system.completed_total
+
+        # Each system is built before the collection that starts its
+        # run, so its set-up (and the imports it triggers) is not counted.
+        system = config.build(1)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            done = run(system)
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        collections = [0, 0, 0]
+        paused = [0.0, 0.0]  # seconds paused, start of the current pause
+
+        def watch(phase: str, info: dict) -> None:
+            if phase == "start":
+                paused[1] = time.perf_counter()
+            else:
+                collections[info["generation"]] += 1
+                paused[0] += time.perf_counter() - paused[1]
+
+        system = config.build(1)
+        gc.collect()
+        gc.callbacks.append(watch)
+        start = time.perf_counter()
+        try:
+            run(system)
+        finally:
+            wall = time.perf_counter() - start
+            gc.callbacks.remove(watch)
+        rows[config.name] = {
+            "commits": done,
+            "garbage_per_commit": garbage / done,
+            "collections_per_kcommit": [1000.0 * count / done
+                                        for count in collections],
+            "gc_wall_share": paused[0] / wall,
+            "wall_s": wall}
+    return {"wall_s": sum(row["wall_s"] for row in rows.values()),
+            "configurations": rows}
+
+
 # ----------------------------------------------------------------------
 # Soak memory benchmark (peak RSS vs run length)
 # ----------------------------------------------------------------------
@@ -530,13 +600,13 @@ def bench_sweep_scaling(transactions: int, mpls: tuple[int, ...],
 # ----------------------------------------------------------------------
 # The benchmark itself (perfbench/run.py), recorded and compared
 # ----------------------------------------------------------------------
-#: The benchmark's workloads, its seed here, and its timed seconds.
+#: The benchmark's workloads, the seed of its end-to-end runs, the seeds
+#: of its traced runs, and its timed seconds.
 PERFBENCH_WORKLOADS = ("closed-rcdc", "sweep-puredc", "open-wan-soak",
                        "faulted-paxos")
 PERFBENCH_SEED = 1
+PERFBENCH_TRACED_SEEDS = (1, 2, 3, 4, 5)
 PERFBENCH_SECONDS = 20
-#: ``--trace`` value -> the key its run is stored under.
-PERFBENCH_MODES = {0: "end_to_end", 1: "per_layer"}
 #: Runs the command in ``sys.argv[1:]`` and exits with its status.  A
 #: child's ``ru_maxrss`` starts at its parent's resident size, so
 #: perfbench is started from this fresh, small interpreter: its
@@ -569,15 +639,29 @@ def run_perfbench(workload: str, trace: int, seed: int,
 
 
 def bench_perfbench(seed: int = PERFBENCH_SEED,
+                    traced_seeds: tuple[int, ...] = PERFBENCH_TRACED_SEEDS,
                     seconds: float = PERFBENCH_SECONDS) -> dict:
-    """Every workload end to end (``--trace 0``) and per layer
-    (``--trace 1``) at ``seed``."""
+    """Every workload end to end (``--trace 0``) at ``seed``, and per
+    layer (``--trace 1``) at each of ``traced_seeds``, keyed by seed."""
     workloads = {}
     for workload in PERFBENCH_WORKLOADS:
         workloads[workload] = {
-            key: run_perfbench(workload, trace, seed, seconds)
-            for trace, key in PERFBENCH_MODES.items()}
-    return {"seed": seed, "seconds": seconds, "workloads": workloads}
+            "end_to_end": run_perfbench(workload, 0, seed, seconds),
+            "per_layer": {str(traced): run_perfbench(workload, 1, traced,
+                                                     seconds)
+                          for traced in traced_seeds}}
+    return {"seed": seed, "traced_seeds": list(traced_seeds),
+            "seconds": seconds, "workloads": workloads}
+
+
+def traced_runs(record: dict, workload: str) -> dict[str, dict]:
+    """Seed -> traced run of ``workload`` in a perfbench record.  A
+    record written before traced runs were kept per seed holds one, at
+    the record's seed."""
+    per_layer = record["workloads"].get(workload, {}).get("per_layer", {})
+    if "metrics" in per_layer:
+        return {str(record["seed"]): per_layer}
+    return per_layer
 
 
 def benchmark_units() -> dict[str, str]:
@@ -592,9 +676,11 @@ def compare_reports(before_path: str, after_path: str) -> int:
     """Print every perfbench metric's change from one record to the
     other; list and fail on differing counts and digests.
 
-    An end-to-end run repeats until its seconds are up, so the two
-    records may hold different numbers of digests; the repetitions
-    both ran (same index, same seed) are compared.
+    The end-to-end runs are compared, and the traced runs at every seed
+    both records hold; the metric table is printed for the first of
+    those seeds.  An end-to-end run repeats until its seconds are up,
+    so the two records may hold different numbers of digests; the
+    repetitions both ran (same index, same seed) are compared.
     """
     records = []
     for path in (before_path, after_path):
@@ -603,15 +689,23 @@ def compare_reports(before_path: str, after_path: str) -> int:
             print(f"error: {path} has no perfbench record (written by "
                   f"the full run)", file=sys.stderr)
             return 2
-        records.append(record["perfbench"]["workloads"])
+        records.append(record["perfbench"])
     before, after = records
     units = benchmark_units()
     differs = []
     print(f"== perfbench: {before_path} -> {after_path} ==")
     for workload in PERFBENCH_WORKLOADS:
-        for key in PERFBENCH_MODES.values():
-            old = before.get(workload, {}).get(key)
-            new = after.get(workload, {}).get(key)
+        pairs = [("end_to_end",
+                  before["workloads"].get(workload, {}).get("end_to_end"),
+                  after["workloads"].get(workload, {}).get("end_to_end"))]
+        old_traced = traced_runs(before, workload)
+        new_traced = traced_runs(after, workload)
+        seeds = sorted(set(old_traced) & set(new_traced), key=int)
+        if not seeds:
+            differs.append(f"{workload} per_layer: no seed in both records")
+        pairs += [(f"per_layer seed {seed}", old_traced[seed],
+                   new_traced[seed]) for seed in seeds]
+        for index, (key, old, new) in enumerate(pairs):
             if old is None or new is None:
                 differs.append(f"{workload} {key}: missing from "
                                f"{before_path if old is None else after_path}")
@@ -628,16 +722,17 @@ def compare_reports(before_path: str, after_path: str) -> int:
                     change = f"{(b - a) / abs(a):+8.1%}"
                 else:
                     change = "       =" if b == a else "  from 0"
-                print(f"  {name:<34} {_fmt(a):>12} -> {_fmt(b):>12}  "
-                      f"{change}")
+                if index < 2:
+                    print(f"  {name:<34} {_fmt(a):>12} -> {_fmt(b):>12}  "
+                          f"{change}")
                 if units.get(name) == "count" and a != b:
                     differs.append(f"{workload} {name} (count): "
-                                   f"{_fmt(a)} -> {_fmt(b)}")
-            for index, (a, b) in enumerate(zip(old["digests"],
-                                               new["digests"])):
+                                   f"{_fmt(a)} -> {_fmt(b)} in {key}")
+            for rep, (a, b) in enumerate(zip(old["digests"],
+                                             new["digests"])):
                 if a != b:
                     differs.append(f"{workload} {key} digest of "
-                                   f"repetition {index}: {a} -> {b}")
+                                   f"repetition {rep}: {a} -> {b}")
     for line in differs:
         print(f"differs: {line}")
     if differs:
@@ -715,8 +810,19 @@ def main(argv=None) -> int:
         **bench_inactive_planes(sizes["transactions"], 15),
         "wan_point": bench_wan_point(sizes["transactions"],
                                      sizes["repeats"]),
+        "gc": bench_gc(150 if args.smoke else None),
     }
     for name, row in kernel.items():
+        if name == "gc":
+            for config, gc_row in row["configurations"].items():
+                per_kcommit = "/".join(
+                    f"{count:.0f}"
+                    for count in gc_row["collections_per_kcommit"])
+                print(f"  gc {config:<17} {gc_row['wall_s'] * 1e3:8.1f} ms"
+                      f"   {gc_row['garbage_per_commit']:8.2f} garbage"
+                      f"/commit, {per_kcommit} collections/kcommit, "
+                      f"{gc_row['gc_wall_share']:.1%} of wall")
+            continue
         rate_key = next((k for k in row if k.endswith("_per_sec")), None)
         if rate_key is not None:
             detail = (f"{row[rate_key]:12,.0f} "
@@ -752,11 +858,12 @@ def main(argv=None) -> int:
         "sweep_scaling": sweep,
     }
     if not args.smoke:
-        print(f"== perfbench (seed {PERFBENCH_SEED}) ==")
+        print(f"== perfbench (seed {PERFBENCH_SEED}; traced at seeds "
+              f"{', '.join(map(str, PERFBENCH_TRACED_SEEDS))}) ==")
         report["perfbench"] = bench_perfbench()
         for workload, runs in report["perfbench"]["workloads"].items():
             rate = runs["end_to_end"]["metrics"].get("txn_per_ref_s", 0.0)
-            events = runs["per_layer"]["metrics"].get(
+            events = runs["per_layer"][str(PERFBENCH_SEED)]["metrics"].get(
                 "kernel.events_per_commit", 0.0)
             print(f"  {workload:<14} {rate:8.1f} txn/ref_s  "
                   f"{events:8.2f} events/commit")

@@ -392,6 +392,7 @@ class DistributedSystem:
                 self._reap_stragglers(txn)
             if outcome is TransactionOutcome.COMMITTED:
                 self.bus.publish(TxnCommit(env.now, txn))
+                txn.agent_ended()
                 self.completed_total += 1
                 if not self.wal_retention:
                     # WAL truncation: this transaction's recovery-index
@@ -405,6 +406,7 @@ class DistributedSystem:
                 return
             reason = txn.abort_reason or AbortReason.SURPRISE_VOTE
             self.bus.publish(TxnAbort(env.now, txn, reason))
+            txn.agent_ended()
             # "A transaction that is aborted is restarted after a
             # delay ... equal to the average response time."
             yield env.timeout(self.metrics.restart_delay())

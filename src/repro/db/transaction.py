@@ -126,11 +126,20 @@ class TransactionSpec:
         return sum(len(a.pages) for a in self.accesses)
 
 
+#: cohort states that leave an incarnation in doubt (not yet retirable).
+_IN_DOUBT = (CohortState.PREPARED, CohortState.PRECOMMITTED)
+
+
 class Transaction:
     """One incarnation of a transaction.
 
     Identity is ``(spec.txn_id, incarnation)``; the workload slot keeps
     the spec and bumps the incarnation on every restart.
+
+    ``master`` and ``cohorts`` are dropped when the incarnation retires
+    (:meth:`retire`), after the slot has published its ``TxnCommit`` or
+    ``TxnAbort``; an agent's ``txn`` stays.  A bus subscriber that needs
+    them later copies them when the event is published.
     """
 
     def __init__(self, spec: TransactionSpec, incarnation: int,
@@ -158,6 +167,35 @@ class Transaction:
         self.forced_writes = 0
         #: number of this transaction's cohorts currently blocked on a lock.
         self.blocked_cohorts = 0
+        #: agents still running: the master, each cohort, and the slot
+        #: until it has published the outcome (see :meth:`retire`).
+        self.running_agents = len(spec.accesses) + 2
+
+    def agent_ended(self) -> None:
+        """One of the running agents ended; retire if it was the last."""
+        self.running_agents -= 1
+        if not self.running_agents:
+            self.retire()
+
+    def retire(self) -> None:
+        """Drop every link that closes a cycle through this incarnation
+        once no agent runs and no cohort is in doubt (the injector
+        retries when one resolves: 3PC's termination round and status
+        inquiries still need its peers).  Reference counting then frees
+        it.  A Store keeps its pending getters: a late message still
+        resolves one, and that schedules it."""
+        master = self.master
+        if self.running_agents or master is None or any(
+                cohort.state in _IN_DOUBT for cohort in self.cohorts):
+            return
+        for agent in (master, *self.cohorts):
+            agent.inbox.discard_items()
+            agent._pending_get = None
+        for cohort in self.cohorts:
+            cohort.master = None
+        master.cohorts, master.prepared_cohorts = [], []
+        master.read_only_cohorts, master.early_votes = [], []
+        self.master, self.cohorts = None, []
 
     @property
     def txn_id(self) -> int:
@@ -359,6 +397,8 @@ class CohortAgent(Agent):
             yield from self.system.protocol.cohort_commit(self)
         except Interrupt as interrupt:
             self._cleanup_after_interrupt(interrupt.cause)
+        finally:
+            self.txn.agent_ended()
 
     def _execute(self) -> typing.Generator[Event, typing.Any, None]:
         """Perform the access sequence: lock, disk read, CPU, per page."""
@@ -603,6 +643,8 @@ class MasterAgent(Agent):
                 self.txn.abort_reason = interrupt.cause
             self.txn.outcome = TransactionOutcome.ABORTED
             return TransactionOutcome.ABORTED
+        finally:
+            self.txn.agent_ended()
 
     def _commit_is_durable(self) -> bool:
         """Whether a COMMIT record is stable: this master logged it, or

@@ -311,7 +311,8 @@ class FaultInjector:
         self._in_doubt.setdefault(cohort.site.site_id, []).append(cohort)
 
     def note_resolved(self, cohort: "CohortAgent") -> None:
-        """Account one in-doubt resolution and its blocked-lock window.
+        """Account one in-doubt resolution and its blocked-lock window,
+        then retry retiring the cohort's incarnation.
 
         ``blocked_lock_ms`` accumulates the time an *operational*
         cohort held its update locks while in doubt -- the paper's
@@ -326,6 +327,7 @@ class FaultInjector:
         if since is not None:
             self.blocked_lock_ms += self.system.env.now - since
             cohort.in_doubt_since = None
+        cohort.txn.retire()  # it may have been the last one in doubt
 
     def _recover(self, site: "Site") -> None:
         env = self.system.env

@@ -9,7 +9,10 @@ subscribed to its kind.
 Events carry the objects they describe (transactions, cohorts, messages)
 rather than pre-rendered strings, so subscribers can follow references;
 :func:`event_to_dict` flattens an event into JSON-serializable scalars
-for export.
+for export.  A transaction's ``master`` and ``cohorts`` are dropped when
+its incarnation retires, at the earliest right after its ``TxnCommit``
+or ``TxnAbort`` (an agent's ``txn`` stays): a subscriber that needs them
+later copies them when the event is published.
 """
 
 from __future__ import annotations

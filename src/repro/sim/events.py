@@ -158,7 +158,9 @@ class Condition(Event):
     A child that fails *after* the condition has already triggered is
     defused rather than re-failing the condition: the condition consumed
     the children, so a late failure must not escape ``Environment.run``
-    as an unhandled error (nor re-trigger the condition).
+    as an unhandled error (nor re-trigger the condition).  Once triggered
+    the condition drops its children, so one still pending (a get that
+    lost to a timeout) does not hold it in a reference cycle.
     """
 
     __slots__ = ("events", "_triggered_count")
@@ -216,9 +218,12 @@ class Condition(Event):
         if not event._ok:
             event.defused = True
             self.fail(typing.cast(BaseException, event._value))
-            return
-        self._triggered_count += 1
-        self._check()
+        else:
+            self._triggered_count += 1
+            self._check()
+            if self._value is _PENDING:
+                return
+        self.events = []
 
     def _results(self) -> dict[Event, typing.Any]:
         return {event: event._value for event in self.events

@@ -355,5 +355,9 @@ class Store:
         self._items.clear()
         self._getters.clear()
 
+    def discard_items(self) -> None:
+        """Discard queued items; pending getters stay."""
+        self._items.clear()
+
     def __len__(self) -> int:
         return len(self._items)

@@ -203,3 +203,19 @@ def test_single_child_condition_with_processed_child():
     env.process(proc(env))
     env.run()
     assert results == ["early"]
+
+
+def test_triggered_any_of_holds_no_children():
+    """Once an AnyOf fires it drops its children: the slower child,
+    still pending, refers to the condition through its callback, and
+    the condition must not refer back (no reference cycle)."""
+    env = Environment()
+    fast = env.timeout(1.0, value="fast")
+    slow = env.timeout(10.0)
+    condition = env.any_of([fast, slow])
+    env.run(until=5.0)
+    assert condition.processed and not slow.processed
+    assert condition.events == []
+    assert condition.value == {fast: "fast"}
+    env.run()
+    assert slow.processed

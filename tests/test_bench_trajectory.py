@@ -77,3 +77,33 @@ def test_a_record_without_perfbench_is_an_error(trajectory, tmp_path):
     old = tmp_path / "old.json"
     old.write_text(json.dumps({"schema": 2, "kernel_micro": {}}))
     assert trajectory.compare_reports(str(old), before) == 2
+
+
+def test_every_traced_seed_both_records_hold_is_checked(trajectory,
+                                                        tmp_path, capsys):
+    before = write_record(tmp_path / "a.json", trajectory)
+    record = json.loads(pathlib.Path(before).read_text())["perfbench"]
+    traced = record["workloads"]["closed-rcdc"]["per_layer"]
+    seeds = {}
+    for seed in ("1", "2", "3"):
+        seeds[seed] = json.loads(json.dumps(traced))
+    seeds["3"]["digests"] = ["t0", "x1"]
+    for runs in record["workloads"].values():
+        runs["per_layer"] = seeds
+    record["traced_seeds"] = [1, 2, 3]
+    after = tmp_path / "b.json"
+    after.write_text(json.dumps({"perfbench": record}))
+    # The one-seed record shares seed 1 with the new one: equal.
+    assert trajectory.compare_reports(before, str(after)) == 0
+    assert trajectory.compare_reports(str(after), str(after)) == 0
+    seeds["3"]["digests"] = ["t0", "t1"]
+    seeds["2"]["metrics"]["kernel.events_per_commit"] = 127.5
+    changed = tmp_path / "c.json"
+    changed.write_text(json.dumps({"perfbench": record}))
+    capsys.readouterr()
+    assert trajectory.compare_reports(str(after), str(changed)) == 1
+    out = capsys.readouterr().out
+    assert ("differs: sweep-puredc per_layer seed 3 digest of repetition "
+            "1: x1 -> t1") in out
+    assert ("differs: open-wan-soak kernel.events_per_commit (count): "
+            "127.11 -> 127.5") in out

@@ -484,12 +484,20 @@ class TestCrashOutcomeAccounting:
         chain tail forced COMMIT counted its incarnation aborted (and
         the slot restarted it) although every cohort committed (LIN-2PC
         seed 2: T45.1, T56.1 and T58.1)."""
-        _, _, log = _faulty_run(protocol, seed=seed, transactions=150,
-                                log_kinds=(EventKind.TXN_ABORT,))
-        assert log.events, "environment too mild: nothing aborted"
-        assert [event.txn.name for event in log.events
+        aborted = []  # (txn, its cohorts), copied when published
+
+        def copy_cohorts(system):
+            system.bus.subscribe(EventKind.TXN_ABORT, lambda event: (
+                aborted.append((event.txn, list(event.txn.cohorts)))))
+
+        repro.simulate(
+            protocol, mpl=3, measured_transactions=150,
+            warmup_transactions=0, seed=seed, on_system=copy_cohorts,
+            faults=FaultConfig(region=RegionPlan.parse(HARSH)))
+        assert aborted, "environment too mild: nothing aborted"
+        assert [txn.name for txn, cohorts in aborted
                 if all(cohort.state is CohortState.COMMITTED
-                       for cohort in event.txn.cohorts)] == []
+                       for cohort in cohorts)] == []
 
 
 # ----------------------------------------------------------------------
